@@ -39,7 +39,7 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/net/event.hpp>
-#include <openspace/net/flows.hpp>
+#include <openspace/net/flow_generator.hpp>
 #include <openspace/net/forwarding.hpp>
 #include <openspace/net/scheduler.hpp>
 #include <openspace/orbit/snapshot.hpp>

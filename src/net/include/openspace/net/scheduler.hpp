@@ -1,9 +1,11 @@
 // High-throughput event scheduler: a hierarchical timer wheel.
 //
-// EventQueue (event.hpp) is the executable spec: a binary heap of
-// heap-allocated std::function closures, O(log n) per operation with an
-// allocation per event. At flow-simulator scale (tens of millions of
-// events) both costs dominate the run. TimerWheel replaces them with
+// EventQueue is the executable spec: a binary heap of heap-allocated
+// std::function closures, O(log n) per operation with an allocation per
+// event. It lives with the other legacy traffic specs in the test-only
+// openspace_spec library (spec/include/openspace/net/event.hpp), not in the
+// shipped library. At flow-simulator scale (tens of millions of events)
+// both of its costs dominate the run. TimerWheel replaces them with
 //
 //  * POD event records in a slab arena — Payload must be trivially
 //    copyable, records are recycled through a free list, and steady-state
@@ -71,10 +73,12 @@ class TimerWheel {
   }
 
   /// Schedule `payload` at absolute time `tS`. Throws InvalidArgumentError
-  /// if tS is before now() (no time travel — same contract as EventQueue).
+  /// if tS is before now() (no time travel — same contract as EventQueue)
+  /// or NaN (it has no tick to bucket into).
   TimerEventId schedule(double tS, const Payload& payload) {
-    if (tS < nowS_) {
-      throw InvalidArgumentError("TimerWheel::schedule: time is in the past");
+    if (!(tS >= nowS_)) {
+      throw InvalidArgumentError(
+          "TimerWheel::schedule: time is in the past or NaN");
     }
     std::uint64_t tick = tickOf(tS);
     // now() can sit mid-tick after a bounded run(); a tick the sweep has

@@ -13,6 +13,14 @@
 
 namespace openspace {
 
+namespace {
+
+/// False for NaN, infinities and values <= 0 (NaN fails every `<=` test, so
+/// a plain `x <= 0.0` guard would let it through).
+bool positiveFinite(double x) noexcept { return x > 0.0 && std::isfinite(x); }
+
+}  // namespace
+
 std::uint64_t mixDeliveryRecord(std::uint64_t h, const DeliveryRecord& rec) noexcept {
   h = fnv1a(h, rec.packet.id);
   h = fnv1a(h, rec.packet.src.value());
@@ -36,8 +44,15 @@ FlowSimulator::FlowSimulator(std::shared_ptr<const CompactGraph> graph,
   if (!graph_) {
     throw InvalidArgumentError("FlowSimulator: null graph");
   }
-  if (cfg_.maxQueueBits <= 0.0) {
-    throw InvalidArgumentError("FlowSimulator: queue limit must be > 0");
+  if (!std::isfinite(cfg_.startS)) {
+    throw InvalidArgumentError("FlowSimulator: start time must be finite");
+  }
+  if (!positiveFinite(cfg_.durationS)) {
+    throw InvalidArgumentError("FlowSimulator: duration must be finite and > 0");
+  }
+  if (!positiveFinite(cfg_.maxQueueBits)) {
+    throw InvalidArgumentError(
+        "FlowSimulator: queue limit must be finite and > 0");
   }
   edges_.resize(graph_->edgeCount());
   bitsCarried_.assign(graph_->edgeCount(), 0.0);
@@ -86,9 +101,13 @@ std::uint32_t FlowSimulator::addPath(const Route& route) {
 }
 
 std::uint32_t FlowSimulator::addFlow(const FlowSpec& flow, std::uint32_t pathId) {
-  if (flow.rateBps <= 0.0 || flow.packetBits <= 0.0) {
+  if (!positiveFinite(flow.rateBps) || !positiveFinite(flow.packetBits)) {
     throw InvalidArgumentError(
-        "FlowSimulator::addFlow: rate and packet size must be > 0");
+        "FlowSimulator::addFlow: rate and packet size must be finite and > 0");
+  }
+  if (!std::isfinite(flow.startS) || !std::isfinite(flow.stopS)) {
+    throw InvalidArgumentError(
+        "FlowSimulator::addFlow: start and stop times must be finite");
   }
   if (pathId != kNoPath) {
     if (pathId >= paths_.size()) {
@@ -292,7 +311,7 @@ FlowSimReport FlowSimulator::run() {
   rep.edgeUtilization.assign(rep.edgeBitsCarried.size(), 0.0);
   for (std::size_t e = 0; e < rep.edgeBitsCarried.size(); ++e) {
     const double cap = graph_->edgeCapacityBps(static_cast<std::uint32_t>(e));
-    if (cap > 0.0 && cfg_.durationS > 0.0) {
+    if (cap > 0.0) {
       rep.edgeUtilization[e] = rep.edgeBitsCarried[e] / (cap * cfg_.durationS);
     }
   }

@@ -11,7 +11,10 @@
 // FlowGenerator + ForwardingEngine): given the same flows and RNG seed, the
 // simulator reproduces the legacy delivery records bit-for-bit — same
 // packet ids, timestamps, latencies, drop reasons, and completion order.
-// Property tests enforce this; the legacy path stays the executable spec.
+// Property tests enforce this. The legacy stack stays as the executable
+// spec in the test-only openspace_spec library (spec/, same openspace/net/
+// include paths); the shipped library, Scenario included, runs traffic on
+// this simulator alone.
 //
 // Scale comes from three changes, not from semantic shortcuts:
 //  * timer-wheel scheduling of 12-byte POD event records (no per-event
@@ -102,8 +105,9 @@ class FlowSimulator {
   /// the legacy invalid-route behavior.
   static constexpr std::uint32_t kNoPath = 0xFFFFFFFFu;
 
-  /// Throws InvalidArgumentError for a null graph or non-positive queue
-  /// limit / tick.
+  /// Throws InvalidArgumentError for a null graph, a non-finite start, a
+  /// non-finite or non-positive duration or queue limit, or a non-positive
+  /// tick.
   explicit FlowSimulator(std::shared_ptr<const CompactGraph> graph,
                          FlowSimConfig cfg = {});
 
@@ -114,7 +118,8 @@ class FlowSimulator {
   std::uint32_t addPath(const Route& route);
 
   /// Register a flow on a previously added path (or kNoPath). Throws
-  /// InvalidArgumentError on non-positive rate/size or if the path
+  /// InvalidArgumentError on a non-finite or non-positive rate/size, a
+  /// non-finite start/stop time, or if the path
   /// endpoints do not match the flow's src/dst (the legacy send() check,
   /// moved to registration time). Returns the flow index.
   std::uint32_t addFlow(const FlowSpec& flow, std::uint32_t pathId);

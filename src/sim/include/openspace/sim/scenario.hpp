@@ -7,6 +7,13 @@
 // heterogeneous links, and every carried byte lands in the settlement
 // ledgers. Examples and integration tests drive this type; the benchmarks
 // use it for the ablation studies.
+//
+// Traffic runs on the production engines: each epoch compiles the snapshot
+// once into a RouteEngine, routes every user to its home gateway over that
+// one CSR graph, and drives the flows through a FlowSimulator on the same
+// compiled graph. The EventQueue + FlowGenerator + ForwardingEngine stack
+// in spec/ is the executable spec for these epochs: an equivalence test
+// pins Scenario's reports to it bit for bit given the same epoch seed.
 #pragma once
 
 #include <memory>
@@ -14,9 +21,6 @@
 
 #include <openspace/auth/association.hpp>
 #include <openspace/econ/ledger.hpp>
-#include <openspace/net/flows.hpp>
-#include <openspace/net/forwarding.hpp>
-#include <openspace/routing/ondemand.hpp>
 #include <openspace/sim/fig2.hpp>
 
 namespace openspace {
@@ -72,7 +76,10 @@ struct AdaptiveReport {
   int reroutedFlows = 0;  ///< Flows whose path changed after feedback.
 };
 
-/// Result of one traffic epoch.
+/// Result of one traffic epoch. The packet counts and latencies cover this
+/// epoch only; `settlement`, `totalSettlementUsd` and `ledgersCrossVerified`
+/// read the Scenario's ledgers, which accumulate over every
+/// runTrafficEpoch call of the Scenario's lifetime.
 struct TrafficReport {
   std::size_t packetsOffered = 0;
   std::size_t packetsDelivered = 0;
@@ -103,17 +110,25 @@ class Scenario {
   AssociationResult associateUser(std::size_t userIndex, double tSeconds);
 
   /// Run a traffic epoch: each user sends Poisson traffic at `rateBps` to
-  /// its home provider's gateway over routes chosen by the congestion-aware
-  /// router; carried bytes are settled per §3.
+  /// its home provider's gateway over the cheapest route under the `qos`
+  /// cost weights; carried bytes are settled per §3. Users with no route
+  /// offer no traffic. Throws InvalidArgumentError for a non-finite time or
+  /// a non-finite or non-positive duration/rate.
+  ///
+  /// Randomness: every epoch (here and in runAdaptiveEpochs) seeds its
+  /// packet arrivals with one 64-bit draw from the Scenario's RNG, so a
+  /// Scenario's reports are a pure function of its config seed and call
+  /// sequence.
   TrafficReport runTrafficEpoch(double tSeconds, double durationS,
                                 double rateBps, QosClass qos = QosClass::Standard);
 
   /// The §2.2/§5(2) closed loop: run `epochs` consecutive traffic epochs on
   /// the time-t snapshot. After each epoch, per-link utilization measured
-  /// by the forwarding engine is converted into queueing-delay estimates
+  /// by the flow simulator is converted into queueing-delay estimates
   /// (M/M/1) on the shared graph, and routes are recomputed — congestion
   /// the proactive table could not predict is discovered and avoided.
-  /// Throws InvalidArgumentError for epochs < 1 or non-positive
+  /// Adaptive epochs are not settled. Throws InvalidArgumentError for
+  /// epochs < 1, a non-finite time, or a non-finite or non-positive
   /// duration/rate.
   AdaptiveReport runAdaptiveEpochs(double tSeconds, int epochs,
                                    double epochDurationS, double rateBps);
@@ -134,6 +149,15 @@ class Scenario {
   std::vector<BeaconMessage> beaconsAt(double tSeconds) const;
 
  private:
+  struct Epoch;  ///< What one simulated epoch produced (scenario.cpp).
+
+  /// The shared body of both traffic entry points: compile `g` under
+  /// `cost` once, route every user to its home gateway, and simulate
+  /// Poisson flows over [startS, startS + durationS), seeded by one draw
+  /// from rng_.
+  Epoch runEpoch(const NetworkGraph& g, const LinkCostFn& cost, QosClass qos,
+                 double startS, double durationS, double rateBps);
+
   ScenarioConfig cfg_;
   EphemerisService ephemeris_;
   std::unique_ptr<TopologyBuilder> builder_;

@@ -1,8 +1,12 @@
 #include <openspace/sim/scenario.hpp>
 
+#include <cmath>
 #include <numbers>
 
 #include <openspace/geo/error.hpp>
+#include <openspace/routing/engine.hpp>
+#include <openspace/routing/ondemand.hpp>
+#include <openspace/sim/flow_sim.hpp>
 
 namespace openspace {
 
@@ -101,7 +105,7 @@ ProviderId Scenario::providerId(std::size_t index) const {
   if (index >= cfg_.providers.size()) {
     throw InvalidArgumentError("Scenario::providerId: index out of range");
   }
-  return static_cast<ProviderId>(index + 1);
+  return ProviderId{static_cast<ProviderId::rep_type>(index + 1)};
 }
 
 NetworkGraph Scenario::snapshot(double tSeconds) const {
@@ -169,70 +173,106 @@ AssociationResult Scenario::associateUser(std::size_t userIndex, double tSeconds
                                       tSeconds, cfg_.minElevationRad, beacons_);
 }
 
+/// One simulated epoch: the route of every user (invalid when it has no
+/// path home) and the simulator's report, whose flows are the routed users
+/// in user order.
+struct Scenario::Epoch {
+  std::vector<Route> routes;                  ///< By user index.
+  std::vector<std::size_t> flowUser;          ///< Flow index -> user index.
+  std::shared_ptr<const CompactGraph> graph;  ///< What the epoch ran on.
+  FlowSimReport sim;
+};
+
+namespace {
+
+/// Validates one traffic-epoch argument: NaN fails every comparison, so a
+/// plain `x <= 0.0` guard would let it through (and a NaN stop time would
+/// keep the packet emitter running forever).
+void requirePositiveFinite(double x, const char* what) {
+  if (!(x > 0.0) || !std::isfinite(x)) {
+    throw InvalidArgumentError(std::string(what) + " must be finite and > 0");
+  }
+}
+
+void requireFinite(double x, const char* what) {
+  if (!std::isfinite(x)) {
+    throw InvalidArgumentError(std::string(what) + " must be finite");
+  }
+}
+
+}  // namespace
+
+Scenario::Epoch Scenario::runEpoch(const NetworkGraph& g, const LinkCostFn& cost,
+                                   QosClass qos, double startS, double durationS,
+                                   double rateBps) {
+  Epoch ep;
+  const RouteEngine engine(std::make_shared<const CompactGraph>(compileGraph(g, cost)));
+  ep.graph = engine.sharedGraph();
+  ep.routes.resize(cfg_.users.size());
+  FlowSimulator sim(ep.graph, FlowSimConfig{}
+                                  .withStart(startS)
+                                  .withDuration(durationS)
+                                  .withSeed(rng_.engine()()));
+  for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
+    ep.routes[u] = engine.shortestPath(userNodes_[u], homeGatewayOf(u));
+    if (!ep.routes[u].valid()) continue;  // uncovered user offers no traffic
+    FlowSpec flow;
+    flow.src = userNodes_[u];
+    flow.dst = ep.routes[u].nodes.back();
+    flow.rateBps = rateBps;
+    flow.qos = qos;
+    flow.homeProvider = providerId(cfg_.users[u].homeProviderIndex);
+    flow.startS = startS;
+    flow.stopS = startS + durationS;
+    sim.addFlow(flow, ep.routes[u]);
+    ep.flowUser.push_back(u);
+  }
+  ep.sim = sim.run();
+  return ep;
+}
+
 AdaptiveReport Scenario::runAdaptiveEpochs(double tSeconds, int epochs,
                                            double epochDurationS,
                                            double rateBps) {
   if (epochs < 1) {
     throw InvalidArgumentError("runAdaptiveEpochs: epochs must be >= 1");
   }
-  if (epochDurationS <= 0.0 || rateBps <= 0.0) {
-    throw InvalidArgumentError(
-        "runAdaptiveEpochs: duration and rate must be > 0");
-  }
+  requireFinite(tSeconds, "runAdaptiveEpochs: time");
+  requirePositiveFinite(epochDurationS, "runAdaptiveEpochs: duration");
+  requirePositiveFinite(rateBps, "runAdaptiveEpochs: rate");
   NetworkGraph g = snapshot(tSeconds);  // shared, mutated between epochs
   AdaptiveReport rep;
-  std::vector<Route> prevRoutes(cfg_.users.size());
+  std::vector<Route> prevRoutes;
 
   for (int e = 0; e < epochs; ++e) {
-    EventQueue events;
-    const double epochStart = tSeconds + e * epochDurationS;
-    events.run(epochStart);
-    ForwardingEngine engine(g, events);
-    const OnDemandRouter router(g, latencyCost());
-
-    std::vector<Route> routes(cfg_.users.size());
-    for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-      routes[u] = router.route(userNodes_[u], homeGatewayOf(u));
-      if (e > 0 && routes[u].valid() && prevRoutes[u].valid() &&
-          routes[u].nodes != prevRoutes[u].nodes) {
-        ++rep.reroutedFlows;
-      }
-    }
-
-    FlowGenerator gen(events, rng_, [&](const Packet& p) {
-      for (std::size_t u = 0; u < userNodes_.size(); ++u) {
-        if (userNodes_[u] == p.src) {
-          engine.send(p, routes[u]);
-          return;
+    const Epoch ep = runEpoch(g, latencyCost(), QosClass::Standard,
+                              tSeconds + e * epochDurationS, epochDurationS,
+                              rateBps);
+    if (e > 0) {
+      for (std::size_t u = 0; u < ep.routes.size(); ++u) {
+        if (ep.routes[u].valid() && prevRoutes[u].valid() &&
+            ep.routes[u].nodes != prevRoutes[u].nodes) {
+          ++rep.reroutedFlows;
         }
       }
-    });
-    for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-      if (!routes[u].valid()) continue;
-      FlowSpec flow;
-      flow.src = userNodes_[u];
-      flow.dst = homeGatewayOf(u);
-      flow.rateBps = rateBps;
-      flow.homeProvider = providerId(cfg_.users[u].homeProviderIndex);
-      flow.startS = epochStart;
-      flow.stopS = epochStart + epochDurationS;
-      gen.addFlow(flow);
     }
-    events.runAll();
-
-    rep.epochMeanLatencyS.push_back(
-        engine.stats().count() > 0 ? engine.stats().meanS() : 0.0);
-    rep.epochLossRate.push_back(engine.stats().lossRate());
-    rep.totalDelivered += engine.delivered();
-    rep.totalDropped += engine.dropped();
-    prevRoutes = routes;
+    const LatencyStats& stats = ep.sim.latency;
+    rep.epochMeanLatencyS.push_back(stats.count() > 0 ? stats.meanS() : 0.0);
+    rep.epochLossRate.push_back(stats.lossRate());
+    rep.totalDelivered += ep.sim.packetsDelivered;
+    rep.totalDropped += ep.sim.packetsDropped;
+    prevRoutes = ep.routes;
 
     // Feedback: measured utilization -> queueing-delay estimates on the
-    // shared graph for the next epoch's route computation.
+    // shared graph for the next epoch's route computation. A link carries
+    // what both of its directed edges carried.
     for (const LinkId lid : g.links()) {
       Link& l = g.link(lid);
-      const double utilization =
-          engine.bitsCarried(lid) / (l.capacityBps * epochDurationS);
+      double bits = 0.0;
+      for (const std::uint32_t edge : ep.graph->edgesOfLink(lid)) {
+        bits += ep.sim.edgeBitsCarried[edge];
+      }
+      const double utilization = bits / (l.capacityBps * epochDurationS);
       l.queueingDelayS = (utilization > 0.0)
                              ? estimateQueueingDelayS(utilization, l.capacityBps)
                              : 0.0;
@@ -243,62 +283,35 @@ AdaptiveReport Scenario::runAdaptiveEpochs(double tSeconds, int epochs,
 
 TrafficReport Scenario::runTrafficEpoch(double tSeconds, double durationS,
                                         double rateBps, QosClass qos) {
-  if (durationS <= 0.0 || rateBps <= 0.0) {
-    throw InvalidArgumentError("runTrafficEpoch: duration and rate must be > 0");
-  }
+  requireFinite(tSeconds, "runTrafficEpoch: time");
+  requirePositiveFinite(durationS, "runTrafficEpoch: duration");
+  requirePositiveFinite(rateBps, "runTrafficEpoch: rate");
   const NetworkGraph g = snapshot(tSeconds);
-  EventQueue events;
-  events.run(tSeconds);  // advance the clock to the epoch start
-  ForwardingEngine engine(g, events);
-  const OnDemandRouter router(g, makeCostFunction(CostWeights::forQos(qos)));
+  const Epoch ep = runEpoch(g, makeCostFunction(CostWeights::forQos(qos)), qos,
+                            tSeconds, durationS, rateBps);
 
-  // Precompute each user's route to its home gateway; account on delivery.
-  std::vector<Route> routes(cfg_.users.size());
-  for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-    routes[u] = router.route(userNodes_[u], homeGatewayOf(u));
+  // Settle each flow's delivered bytes along its route. Packet sizes are
+  // whole bytes, so one entry per flow sums to exactly what one entry per
+  // delivered packet would; flows that delivered nothing book nothing.
+  const double packetBytes = FlowSpec{}.packetBits / 8.0;
+  for (std::size_t i = 0; i < ep.flowUser.size(); ++i) {
+    const std::uint64_t delivered = ep.sim.flows[i].delivered;
+    if (delivered == 0) continue;
+    const std::size_t u = ep.flowUser[i];
+    settlement_.recordRouteTraffic(
+        g, ep.routes[u], providerId(cfg_.users[u].homeProviderIndex),
+        static_cast<double>(delivered) * packetBytes);
   }
-  engine.onComplete([&](const DeliveryRecord& rec) {
-    if (!rec.delivered) return;
-    for (std::size_t u = 0; u < userNodes_.size(); ++u) {
-      if (userNodes_[u] == rec.packet.src) {
-        settlement_.recordRouteTraffic(g, routes[u], rec.packet.homeProvider,
-                                       rec.packet.sizeBits / 8.0);
-        break;
-      }
-    }
-  });
-
-  FlowGenerator gen(events, rng_, [&](const Packet& p) {
-    for (std::size_t u = 0; u < userNodes_.size(); ++u) {
-      if (userNodes_[u] == p.src) {
-        engine.send(p, routes[u]);
-        return;
-      }
-    }
-  });
-  for (std::size_t u = 0; u < cfg_.users.size(); ++u) {
-    if (!routes[u].valid()) continue;  // uncovered user offers no traffic
-    FlowSpec flow;
-    flow.src = userNodes_[u];
-    flow.dst = homeGatewayOf(u);
-    flow.rateBps = rateBps;
-    flow.qos = qos;
-    flow.homeProvider = providerId(cfg_.users[u].homeProviderIndex);
-    flow.startS = tSeconds;
-    flow.stopS = tSeconds + durationS;
-    gen.addFlow(flow);
-  }
-  events.runAll();
 
   TrafficReport rep;
-  rep.packetsOffered = gen.packetsEmitted();
-  rep.packetsDelivered = engine.delivered();
-  rep.packetsDropped = engine.dropped();
-  if (engine.stats().count() > 0) {
-    rep.meanLatencyS = engine.stats().meanS();
-    rep.p95LatencyS = engine.stats().p95S();
+  rep.packetsOffered = ep.sim.packetsOffered;
+  rep.packetsDelivered = ep.sim.packetsDelivered;
+  rep.packetsDropped = ep.sim.packetsDropped;
+  if (ep.sim.latency.count() > 0) {
+    rep.meanLatencyS = ep.sim.latency.meanS();
+    rep.p95LatencyS = ep.sim.latency.p95S();
   }
-  rep.lossProbability = engine.stats().lossRate();
+  rep.lossProbability = ep.sim.latency.lossRate();
   rep.ledgersCrossVerified = settlement_.crossVerify();
   rep.settlement = settlement_.settle();
   for (const auto& item : rep.settlement) rep.totalSettlementUsd += item.amountUsd;

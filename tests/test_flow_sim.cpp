@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -14,7 +15,7 @@
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/net/flows.hpp>
+#include <openspace/net/flow_generator.hpp>
 #include <openspace/net/forwarding.hpp>
 #include <openspace/net/link_dir.hpp>
 #include <openspace/net/scheduler.hpp>
@@ -158,6 +159,13 @@ TEST(TimerWheel, HandlerCanCancelPendingEvent) {
     if (t.v == 1) EXPECT_TRUE(w.cancel(victim));
   });
   EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_TRUE(w.empty());
+}
+
+TEST(TimerWheel, NaNTimeThrows) {
+  TimerWheel<Tag> w;
+  EXPECT_THROW(w.schedule(std::numeric_limits<double>::quiet_NaN(), Tag{1}),
+               InvalidArgumentError);
   EXPECT_TRUE(w.empty());
 }
 
@@ -643,6 +651,49 @@ TEST_F(FlowSimLine, ConfigBuilderAndValidation) {
   EXPECT_EQ(sim.flowCount(), 1u);
   sim.run();
   EXPECT_THROW(sim.run(), StateError);  // single-shot
+}
+
+TEST_F(FlowSimLine, NonFiniteConfigThrows) {
+  // A NaN queue limit would disable drop-tail silently, and a zero or NaN
+  // duration would make every edgeUtilization read 0.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withQueueBits(kNaN)),
+               InvalidArgumentError);
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withQueueBits(kInf)),
+               InvalidArgumentError);
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withDuration(0.0)),
+               InvalidArgumentError);
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withDuration(-1.0)),
+               InvalidArgumentError);
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withDuration(kNaN)),
+               InvalidArgumentError);
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withDuration(kInf)),
+               InvalidArgumentError);
+  EXPECT_THROW(FlowSimulator(graph_, FlowSimConfig{}.withStart(kNaN)),
+               InvalidArgumentError);
+}
+
+TEST_F(FlowSimLine, NonFiniteFlowInputsThrow) {
+  // A NaN rate or stop time would keep run() emitting forever.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  FlowSimulator sim(graph_);
+  const std::uint32_t path = sim.addPath(route_);
+  FlowSpec f = mkFlow(kNaN, 1.0);
+  EXPECT_THROW(sim.addFlow(f, path), InvalidArgumentError);
+  f = mkFlow(kInf, 1.0);
+  EXPECT_THROW(sim.addFlow(f, path), InvalidArgumentError);
+  f = mkFlow(1e5, 1.0);
+  f.packetBits = kNaN;
+  EXPECT_THROW(sim.addFlow(f, path), InvalidArgumentError);
+  f.packetBits = kInf;
+  EXPECT_THROW(sim.addFlow(f, path), InvalidArgumentError);
+  EXPECT_THROW(sim.addFlow(mkFlow(1e5, kNaN), path), InvalidArgumentError);
+  EXPECT_THROW(sim.addFlow(mkFlow(1e5, kInf), path), InvalidArgumentError);
+  EXPECT_THROW(sim.addFlow(mkFlow(1e5, 1.0, kNaN), path), InvalidArgumentError);
+  EXPECT_THROW(sim.addFlow(mkFlow(1e5, 1.0, -kInf), path), InvalidArgumentError);
+  EXPECT_EQ(sim.flowCount(), 0u);
 }
 
 // --- city flows --------------------------------------------------------------

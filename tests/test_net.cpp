@@ -5,7 +5,7 @@
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/net/flows.hpp>
+#include <openspace/net/flow_generator.hpp>
 #include <openspace/routing/dijkstra.hpp>
 #include <openspace/net/forwarding.hpp>
 

@@ -2,6 +2,8 @@
 // multi-provider scenario orchestrator.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/sim/scenario.hpp>
@@ -204,6 +206,24 @@ TEST(Scenario, AdaptiveEpochsRunAndReport) {
   EXPECT_THROW(s.runAdaptiveEpochs(0.0, 0, 1.0, 1e6), InvalidArgumentError);
   EXPECT_THROW(s.runAdaptiveEpochs(0.0, 1, 0.0, 1e6), InvalidArgumentError);
   EXPECT_THROW(s.runAdaptiveEpochs(0.0, 1, 1.0, 0.0), InvalidArgumentError);
+}
+
+TEST(Scenario, NonFiniteTrafficInputsThrow) {
+  // NaN passes a `<= 0` guard, and a NaN stop time never ends the packet
+  // emitter, so each case must throw rather than run.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Scenario s(smallScenario());
+  EXPECT_THROW(s.runTrafficEpoch(0.0, kNaN, 1e6), InvalidArgumentError);
+  EXPECT_THROW(s.runTrafficEpoch(0.0, 1.0, kNaN), InvalidArgumentError);
+  EXPECT_THROW(s.runTrafficEpoch(0.0, kInf, 1e6), InvalidArgumentError);
+  EXPECT_THROW(s.runTrafficEpoch(0.0, 1.0, kInf), InvalidArgumentError);
+  EXPECT_THROW(s.runTrafficEpoch(kNaN, 1.0, 1e6), InvalidArgumentError);
+  EXPECT_THROW(s.runAdaptiveEpochs(0.0, 2, kNaN, 1e6), InvalidArgumentError);
+  EXPECT_THROW(s.runAdaptiveEpochs(0.0, 2, 1.0, kNaN), InvalidArgumentError);
+  EXPECT_THROW(s.runAdaptiveEpochs(0.0, 2, kInf, 1e6), InvalidArgumentError);
+  EXPECT_THROW(s.runAdaptiveEpochs(0.0, 2, 1.0, kInf), InvalidArgumentError);
+  EXPECT_THROW(s.runAdaptiveEpochs(kInf, 2, 1.0, 1e6), InvalidArgumentError);
 }
 
 TEST(Scenario, AdaptiveFeedbackDoesNotDegradeService) {
