@@ -5,19 +5,23 @@
 // gateways plus twelve user terminals, a 1-hour sweep at 1 s steps.
 //
 // Structure — verification and timing are separate sweeps:
-//  * verify (untimed) — fresh and delta run side by side over every step.
-//    Graphs: contentChecksum() equality per step under the delay cost
-//    model. Routes: the full dist + parent-edge arrays of every repaired
-//    tree against its fresh-Dijkstra twin per step under the hop cost
+//  * verify (untimed) — the reference and delta run side by side over every
+//    step. Graphs: contentChecksum() equality per step, under the delay
+//    cost model, against a compile of the test-side reference snapshot
+//    (spec/topology/reference_snapshot.hpp — the builder's own link loops,
+//    which the shared link enumerator must reproduce). Routes: the full
+//    dist + parent-edge arrays of every repaired tree against a fresh
+//    Dijkstra over the reference compile per step under the hop cost
 //    model. Any single-bit divergence on any step fails the run (hard
 //    gate, exit non-zero). Checksumming lives here, outside the timed
 //    passes, because hashing every edge payload costs more than the delta
 //    step being measured and would dilute both sides of the ratio.
-//  * graphs (timed) — per-step compiled-graph production. Fresh side runs
-//    the executable spec every step: TopologyBuilder::snapshot()
-//    (hash-map NetworkGraph, name strings) + compileGraph(). Delta side
-//    walks one IncrementalTopology: flat LinkSpec enumeration, positional
-//    diff, payload patch of the previous arrays. Timed loops fold a
+//  * graphs (timed) — per-step compiled-graph production. Fresh side
+//    rebuilds every step: TopologyBuilder::snapshot() (the shared link
+//    enumeration materialized into a hash-map NetworkGraph with name
+//    strings) + compileGraph(). Delta side walks one IncrementalTopology:
+//    the same enumeration into a flat LinkSpec list, positional diff,
+//    payload patch of the previous arrays. Timed loops fold a
 //    cheap per-step summary (edge count + sampled cost bits) — identical
 //    across modes (secondary gate) and stable across passes.
 //  * routes (timed) — per-step topology + routing-tree maintenance, one
@@ -50,6 +54,7 @@
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/compact_graph.hpp>
 #include <openspace/topology/delta.hpp>
+#include <openspace/topology/reference_snapshot.hpp>
 
 namespace {
 
@@ -170,7 +175,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- verification sweep (untimed): delta==fresh, every step, every bit --
+  // --- verification sweep (untimed): delta==reference, every step, bit --
   bool graphMatch = true;
   bool routesMatch = true;
   std::uint64_t graphChecksum = kFnvOffsetBasis;
@@ -185,7 +190,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < steps; ++i) {
       const double t = i * stepS;
       // Graphs under the delay model.
-      const CompactGraph freshG = compileGraph(topo.snapshot(t, opt), delayCost);
+      const CompactGraph freshG =
+          compileGraph(referenceSnapshot(topo, t, opt), delayCost);
       if (incG.step(t).structural) ++structuralSteps;
       const std::uint64_t freshSum = freshG.contentChecksum();
       graphMatch = graphMatch && freshSum == incG.graph()->contentChecksum();
@@ -194,7 +200,7 @@ int main(int argc, char** argv) {
       // fresh-Dijkstra twin.
       incR.step(t);
       const RouteEngine freshEngine(std::make_shared<const CompactGraph>(
-          compileGraph(topo.snapshot(t, opt), hopCost)));
+          compileGraph(referenceSnapshot(topo, t, opt), hopCost)));
       const RouteEngine deltaEngine(incR.graph());
       bool repairedAll = true;
       for (std::size_t s = 0; s < sources.size(); ++s) {
@@ -323,7 +329,8 @@ int main(int argc, char** argv) {
               "steps; per step %.3f ms fresh -> %.3f ms delta\n",
               sources.size(), repairedSteps, fallbackSteps, perStepFreshMs,
               perStepDeltaMs);
-  std::printf("# gates: graphs delta==fresh %s  routes delta==fresh %s  "
+  std::printf("# gates: graphs delta==reference %s  "
+              "routes delta==reference %s  "
               "batch serial==parallel %s  timed summaries %s\n",
               graphMatch ? "MATCH" : "MISMATCH",
               routesMatch ? "MATCH" : "MISMATCH",

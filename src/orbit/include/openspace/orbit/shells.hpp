@@ -5,8 +5,8 @@
 // multi-layer space-information-network literature the roadmap cites models
 // exactly this. MultiShellFleet composes per-shell Walker generators into a
 // single fleet with one global, contiguous satellite index space, per-shell
-// +grid ISL wiring (mirroring TopologyBuilder's PlusGrid semantics) and an
-// optional cross-shell nearest-visible link policy. The composed element
+// +grid ISL wiring (plusGridPairs, orbit/walker.hpp) and an optional
+// cross-shell nearest-visible link policy. The composed element
 // list hashes with the same constellationHash the snapshot/ephemeris caches
 // key on, so multi-shell fleets share every existing cache layer for free.
 #pragma once
@@ -79,7 +79,8 @@ class MultiShellFleet {
  public:
   /// Generates every shell (validating each WalkerConfig) and freezes the
   /// composed element list. Throws InvalidArgumentError on an empty shell
-  /// list, non-positive ranges, or crossShellK < 1 under NearestVisible.
+  /// list, non-positive or NaN ranges, or crossShellK < 1 under
+  /// NearestVisible.
   explicit MultiShellFleet(MultiShellConfig cfg);
 
   std::size_t shellCount() const noexcept { return shellBegin_.size() - 1; }
@@ -105,10 +106,10 @@ class MultiShellFleet {
   /// Plane/slot arithmetic of a shell (local indices).
   const PlaneGrid& grid(std::size_t shell) const;
 
-  /// ISLs at the snapshot's instant: per-shell +grid wiring (intra-plane
-  /// ring neighbor plus same-slot next-plane neighbor, seam optional) with
-  /// the range/line-of-sight predicate TopologyBuilder::PlusGrid applies,
-  /// plus cross-shell links per policy. Deterministic: links are unique,
+  /// ISLs at the snapshot's instant: per-shell +grid wiring (plusGridPairs:
+  /// intra-plane ring neighbor plus same-slot next-plane neighbor, seam
+  /// optional; self-pairs skipped) under a range and line-of-sight
+  /// predicate, plus cross-shell links per policy. Deterministic: links are unique,
   /// a < b, sorted ascending by (a, b). The snapshot must be of exactly
   /// this fleet (hash-checked).
   std::vector<ShellLink> islLinks(const ConstellationSnapshot& snapshot) const;

@@ -111,7 +111,7 @@ class ConstellationSnapshot {
   /// finite geometry at every fleet size: only the 27 neighboring cells
   /// are scanned per satellite, never all pairs), then cached on the
   /// snapshot; subsequent calls with the same parameters are free.
-  /// Thread-safe.
+  /// Thread-safe. Throws InvalidArgumentError unless maxRangeM > 0.
   std::shared_ptr<const IslTopology> islTopology(
       double maxRangeM, double losClearanceM = km(80.0)) const;
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include <openspace/core/ids.hpp>
@@ -71,6 +72,14 @@ class PlaneGrid {
   std::size_t planes_ = 0;
   std::size_t perPlane_ = 0;
 };
+
+/// The +grid ISL attempts (i, j) in wiring order: per satellite index, its
+/// ring neighbor (slot + 1), then its same-slot neighbor in the next plane
+/// (not from the seam plane unless `interPlaneSeam`). Duplicates (2-slot
+/// rings, 2-plane seams) and self-pairs (1-slot planes, a 1-plane seam) are
+/// kept; consumers decide what they mean.
+std::vector<std::pair<std::size_t, std::size_t>> plusGridPairs(
+    const PlaneGrid& grid, bool interPlaneSeam);
 
 /// Generate `n` satellites on independent random circular orbits at the
 /// given altitude: inclination, RAAN and phase drawn uniformly. This is the

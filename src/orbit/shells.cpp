@@ -25,7 +25,7 @@ MultiShellFleet::MultiShellFleet(MultiShellConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.shells.empty()) {
     throw InvalidArgumentError("MultiShellFleet: at least one shell required");
   }
-  if (cfg_.maxIslRangeM <= 0.0 || cfg_.crossShellMaxRangeM <= 0.0) {
+  if (!(cfg_.maxIslRangeM > 0.0) || !(cfg_.crossShellMaxRangeM > 0.0)) {
     throw InvalidArgumentError("MultiShellFleet: ISL ranges must be > 0");
   }
   if (cfg_.crossShell == CrossShellLinkPolicy::NearestVisible &&
@@ -94,35 +94,19 @@ std::vector<ShellLink> MultiShellFleet::islLinks(
   const std::vector<Vec3>& eci = snapshot.eci();
   std::vector<ShellLink> links;
 
-  // The same edge predicate TopologyBuilder::PlusGrid applies: within
-  // range, sightline clears the Earth by the configured margin. Self
-  // pairs (single-satellite planes wrap onto themselves) are skipped.
-  const auto tryAdd = [&](std::size_t i, std::size_t j, double rangeCapM,
-                          bool cross) {
-    if (i == j) return;
-    const double dist = eci[i].distanceTo(eci[j]);
-    if (dist > rangeCapM) return;
-    if (!lineOfSightClear(eci[i], eci[j], cfg_.losClearanceM)) return;
-    links.push_back({std::min(i, j), std::max(i, j), dist, cross});
-  };
-
-  // --- Per-shell +grid wiring (TopologyBuilder::PlusGrid attempt order) --
+  // --- Per-shell +grid wiring: in range, sightline clears the Earth ------
   for (std::size_t s = 0; s < shellCount(); ++s) {
-    const PlaneGrid& grid = grids_[s];
     const std::size_t base = shellBegin_[s];
-    const std::size_t count = shellBegin_[s + 1] - base;
-    const bool seam = cfg_.shells[s].interPlaneSeam;
-    for (std::size_t local = 0; local < count; ++local) {
-      const PlaneId plane = grid.planeOf(local);
-      const std::size_t slot = grid.slotOf(local);
-      // Intra-plane ring neighbor.
-      tryAdd(base + local, base + grid.indexOf(plane, slot + 1),
-             cfg_.maxIslRangeM, false);
-      // Same-slot neighbor in the next plane (seam optional).
-      if (!grid.isSeamPlane(plane) || seam) {
-        tryAdd(base + local, base + grid.indexOf(grid.nextPlane(plane), slot),
-               cfg_.maxIslRangeM, false);
+    for (auto [i, j] : plusGridPairs(grids_[s], cfg_.shells[s].interPlaneSeam)) {
+      i += base;
+      j += base;
+      if (i == j) continue;  // single-satellite planes wrap onto themselves
+      const double dist = eci[i].distanceTo(eci[j]);
+      if (dist > cfg_.maxIslRangeM ||
+          !lineOfSightClear(eci[i], eci[j], cfg_.losClearanceM)) {
+        continue;
       }
+      links.push_back({std::min(i, j), std::max(i, j), dist, false});
     }
   }
 

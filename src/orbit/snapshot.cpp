@@ -128,7 +128,7 @@ std::optional<std::size_t> ConstellationSnapshot::closestVisible(
 
 std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
     double maxRangeM, double losClearanceM) const {
-  if (maxRangeM <= 0.0) {
+  if (!(maxRangeM > 0.0)) {
     throw InvalidArgumentError("islTopology: maxRangeM must be > 0");
   }
   {

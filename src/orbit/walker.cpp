@@ -121,6 +121,22 @@ PlaneId PlaneGrid::nextPlane(PlaneId plane) const noexcept {
                                   plane.value() + 1)};
 }
 
+std::vector<std::pair<std::size_t, std::size_t>> plusGridPairs(
+    const PlaneGrid& grid, bool interPlaneSeam) {
+  const std::size_t n = grid.planeCount() * grid.satsPerPlane();
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  pairs.reserve(2 * n);
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    const PlaneId plane = grid.planeOf(idx);
+    const std::size_t slot = grid.slotOf(idx);
+    pairs.emplace_back(idx, grid.indexOf(plane, slot + 1));
+    if (!grid.isSeamPlane(plane) || interPlaneSeam) {
+      pairs.emplace_back(idx, grid.indexOf(grid.nextPlane(plane), slot));
+    }
+  }
+  return pairs;
+}
+
 std::vector<OrbitalElements> makeRandomConstellation(int n, double altitudeM,
                                                      Rng& rng) {
   if (n < 0) throw InvalidArgumentError("makeRandomConstellation: n must be >= 0");

@@ -21,7 +21,6 @@
 
 #include <openspace/topology/builder.hpp>
 #include <openspace/topology/compact_graph.hpp>
-#include <openspace/topology/delta.hpp>
 
 namespace openspace {
 
@@ -44,17 +43,12 @@ class ContactGraphRouter {
   /// Precomputes snapshots on {t0S, t0S+step, ...} covering [t0S, t0S+horizon].
   /// Throws InvalidArgumentError for non-positive step/horizon.
   ///
-  /// `build` selects how per-interval graphs are produced. Delta (default)
-  /// walks one IncrementalTopology through the grid — satellite positions
-  /// come from the shared SnapshotCache (repeated sweeps over one window hit
-  /// the LRU) and consecutive graphs are payload-patched instead of
-  /// recompiled. FreshCompile is the executable spec: a full
-  /// builder.snapshot() + compileGraph() per interval. The two produce
-  /// bit-identical graphs (property-tested), so routing results never
-  /// depend on the choice.
+  /// Per-interval graphs come from one IncrementalTopology walked through
+  /// the grid: satellite positions come from the shared SnapshotCache
+  /// (repeated sweeps over one window hit the LRU) and consecutive graphs
+  /// are payload-patched instead of recompiled.
   ContactGraphRouter(const TopologyBuilder& builder, const SnapshotOptions& opt,
-                     double t0S, double horizonS, double stepS,
-                     TemporalBuild build = TemporalBuild::Delta);
+                     double t0S, double horizonS, double stepS);
 
   /// Earliest arrival of a message from `src` (ready at `tStartS`) to `dst`,
   /// allowing storage at intermediate nodes between snapshot intervals.
@@ -70,9 +64,8 @@ class ContactGraphRouter {
     double startS;
     double endS;
     /// Compiled snapshot; edgeCost() == the link's total delay in seconds.
-    /// The dense node numbering is identical across all intervals (verified
-    /// at construction), so per-node labels carry over between intervals as
-    /// flat arrays without translation.
+    /// All intervals share one node table, so per-node labels carry over
+    /// between intervals as flat arrays without translation.
     std::shared_ptr<const CompactGraph> csr;
   };
   std::vector<Interval> snaps_;

@@ -5,6 +5,7 @@
 
 #include <openspace/geo/error.hpp>
 #include <openspace/routing/engine.hpp>
+#include <openspace/topology/delta.hpp>
 
 namespace openspace {
 namespace {
@@ -44,11 +45,7 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
   }
   std::vector<PathTree> trees(sources.size());
 
-  const TemporalCostModel model = delayCostModel();
-  std::unique_ptr<IncrementalTopology> inc;
-  if (cfg.build == TemporalBuild::Delta) {
-    inc = std::make_unique<IncrementalTopology>(builder, opt, model);
-  }
+  IncrementalTopology inc(builder, opt, delayCostModel());
 
   FlowSweepReport out;
   const double endS = cfg.t0S + cfg.horizonS;
@@ -56,24 +53,13 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
   for (double t = cfg.t0S; t < endS; t += cfg.stepS, ++stepIdx) {
     FlowSweepStep step;
     step.tS = t;
-
-    std::shared_ptr<const CompactGraph> graph;
-    if (inc) {
-      inc->step(t);
-      graph = inc->graph();
-      step.structural = inc->lastDelta().structural;
-    } else {
-      // Executable spec: full snapshot + compile, fresh trees below. Every
-      // step rebuilds, so every step is structural by definition.
-      graph = std::make_shared<const CompactGraph>(
-          compileGraph(builder.snapshot(t, opt), model.link));
-      step.structural = true;
-    }
+    step.structural = inc.step(t).structural;
+    const std::shared_ptr<const CompactGraph> graph = inc.graph();
 
     const RouteEngine engine(graph);
     bool repairedAll = !sources.empty();
     for (std::size_t s = 0; s < sources.size(); ++s) {
-      if (inc && trees[s].valid()) {
+      if (trees[s].valid()) {
         TreeRepairStats stats;
         trees[s] = engine.repairShortestPathTree(trees[s], &stats);
         repairedAll = repairedAll && stats.repaired;
@@ -90,9 +76,10 @@ FlowSweepReport runFlowSweep(const TopologyBuilder& builder,
     simCfg.seed = fnv1a(cfg.sim.seed, stepIdx);
     FlowSimulator sim(graph, simCfg);
 
-    // The checksum folds only mode-independent material: the graphs are
-    // bit-identical across build modes and repaired trees equal fresh
-    // trees, so the route sequences and record streams must match too.
+    // The checksum folds only what a fresh sweep over reference graphs
+    // reproduces: the graphs are bit-identical to reference compiles and
+    // repaired trees equal fresh trees, so the route sequences and record
+    // streams must match too.
     for (std::size_t i = 0; i < demands.size(); ++i) {
       const Route r = trees[demandSource[i]].routeTo(demands[i].dst);
       out.checksum = mixRoute(out.checksum, r);

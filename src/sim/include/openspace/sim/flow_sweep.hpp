@@ -9,13 +9,13 @@
 // instead of re-running Dijkstra from scratch, and one FlowSimulator slice
 // runs per step over the routes those trees select.
 //
-// Determinism gates: every step folds its route node sequences and the
-// slice's delivery-record checksum into one sweep checksum. Running the
-// same sweep with TemporalBuild::FreshCompile (full snapshot + compileGraph
-// + fresh Dijkstra per step) must produce the identical checksum — the
-// delta path's graphs are bit-identical and repaired trees equal fresh
-// trees node-for-node, so the simulated packet streams match bit-for-bit.
-// Property tests and bench_temporal_delta enforce this.
+// Determinism gate: every step folds its route node sequences and the
+// slice's delivery-record checksum into one sweep checksum. The same sweep
+// run over compiles of the test-side reference snapshot (spec/topology/)
+// with fresh Dijkstra trees per step must produce the identical checksum —
+// the delta path's graphs are bit-identical to those compiles and repaired
+// trees equal fresh trees node-for-node, so the simulated packet streams
+// match bit-for-bit. test_flow_sim enforces this.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include <openspace/core/hash.hpp>
 #include <openspace/sim/flow_sim.hpp>
 #include <openspace/topology/builder.hpp>
-#include <openspace/topology/delta.hpp>
 
 namespace openspace {
 
@@ -46,7 +45,6 @@ struct FlowSweepConfig {
   /// the seed is re-derived per step (FNV-mixed with the step index) so
   /// slices are decorrelated but reproducible.
   FlowSimConfig sim;
-  TemporalBuild build = TemporalBuild::Delta;
 };
 
 /// Per-step outcome, in grid order.
@@ -68,7 +66,7 @@ struct FlowSweepReport {
   std::size_t structuralSteps = 0;  ///< Steps that rebuilt the CSR arrays.
   std::size_t repairedSteps = 0;    ///< Steps where every tree was repaired.
   /// FNV-1a over every step's route node sequences and record checksum, in
-  /// grid order — the delta==fresh sweep witness.
+  /// grid order — the delta==reference sweep witness.
   std::uint64_t checksum = kFnvOffsetBasis;
 };
 

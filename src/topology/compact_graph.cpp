@@ -51,32 +51,36 @@ std::uint64_t CompactGraph::contentChecksum() const noexcept {
   return h;
 }
 
-CompactGraph compileGraph(const NetworkGraph& g, const CompactGraph::CostFn& cost,
-                          ProviderId home) {
-  CompactGraph out;
-  const std::vector<NodeId>& order = g.nodes();
-  const std::size_t n = order.size();
-  OPENSPACE_ASSERT(n < CompactGraph::kInvalidIndex,
-                   "dense node indices fit in 32 bits");
-  auto nt = std::make_shared<CompactGraph::NodeTable>();
-  nt->denseToNode = order;
-  nt->nodeKind.reserve(n);
-  nt->nodeToDense.reserve(n);
+void CompactGraph::NodeTable::buildLookups() {
+  const std::size_t n = denseToNode.size();
+  OPENSPACE_ASSERT(n < kInvalidIndex, "dense node indices fit in 32 bits");
+  nodeToDense.reserve(n);
   std::uint32_t maxIdValue = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    nt->nodeToDense.emplace(order[i], static_cast<std::uint32_t>(i));
-    nt->nodeKind.push_back(g.node(order[i]).kind);
-    maxIdValue = std::max(maxIdValue, order[i].value());
+    nodeToDense.emplace(denseToNode[i], static_cast<std::uint32_t>(i));
+    maxIdValue = std::max(maxIdValue, denseToNode[i].value());
   }
   // Builder-assigned ids are dense (1..N), so a direct-mapped table makes
   // indexOf a single load. Skip it for pathological sparse id spaces where
   // it would waste memory.
   if (n > 0 && maxIdValue <= 4 * n + 1024) {
-    nt->idToDense.assign(maxIdValue + 1, CompactGraph::kInvalidIndex);
+    idToDense.assign(maxIdValue + 1, kInvalidIndex);
     for (std::size_t i = 0; i < n; ++i) {
-      nt->idToDense[order[i].value()] = static_cast<std::uint32_t>(i);
+      idToDense[denseToNode[i].value()] = static_cast<std::uint32_t>(i);
     }
   }
+}
+
+CompactGraph compileGraph(const NetworkGraph& g, const CompactGraph::CostFn& cost,
+                          ProviderId home) {
+  CompactGraph out;
+  const std::vector<NodeId>& order = g.nodes();
+  const std::size_t n = order.size();
+  auto nt = std::make_shared<CompactGraph::NodeTable>();
+  nt->denseToNode = order;
+  nt->nodeKind.reserve(n);
+  for (const NodeId id : order) nt->nodeKind.push_back(g.node(id).kind);
+  nt->buildLookups();
   out.nodes_ = std::move(nt);
 
   out.rowOffset_.reserve(n + 1);

@@ -4,7 +4,9 @@
 // ephemeris, ground stations and users at fixed sites) and materializes a
 // topology snapshot for any instant: which ISLs exist under the configured
 // wiring policy, which ground links are above the elevation mask, and what
-// capacity each link closes at given the standardized terminals.
+// capacity each link closes at given the standardized terminals — as
+// decided by the link enumerator (topology/link_enumerator.hpp) that the
+// incremental pipeline (topology/delta.hpp) shares.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +86,8 @@ class TopologyBuilder {
   /// All registered ground stations, in registration order.
   std::vector<GroundStationId> groundStations() const;
 
-  /// Materialize the topology at time t.
+  /// Materialize the topology at time t: one link per LinkEnumerator spec
+  /// (which validates `opt`). Thread-safe: all scratch is local.
   NetworkGraph snapshot(double tSeconds, const SnapshotOptions& opt) const;
 
   const EphemerisService& ephemeris() const noexcept { return ephemeris_; }
@@ -98,9 +101,8 @@ class TopologyBuilder {
   std::size_t userCount() const noexcept { return users_.size(); }
 
   /// Registered ground stations / users in registration order — the order
-  /// snapshot() emits their nodes and ground links in. The incremental
-  /// topology pipeline (topology/delta.hpp) replays that order without
-  /// building a NetworkGraph.
+  /// snapshot() emits their nodes and the link enumerator their ground
+  /// links in.
   const std::vector<SiteEntry>& stationSites() const noexcept { return stations_; }
   const std::vector<SiteEntry>& userSites() const noexcept { return users_; }
 

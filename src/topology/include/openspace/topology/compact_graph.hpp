@@ -22,8 +22,8 @@
 // fresh NetworkGraph every step repeats all of the hash-map construction
 // work even though consecutive snapshots differ by a handful of links.
 // topology/delta.hpp (IncrementalTopology) therefore patches CompactGraphs
-// directly — contentChecksum() is the bit-identity witness the delta==fresh
-// property tests and bench gates compare.
+// directly — contentChecksum() is the bit-identity witness the
+// delta==reference property tests and bench gates compare.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +107,7 @@ class CompactGraph {
   /// FNV-1a over everything observable through this interface: node order,
   /// node kinds, CSR layout, every per-edge double (raw bits), edge->link
   /// and link->edge maps. Two graphs checksum equal iff a consumer cannot
-  /// tell them apart — the delta==fresh bit-identity witness.
+  /// tell them apart — the delta==reference bit-identity witness.
   std::uint64_t contentChecksum() const noexcept;
 
   friend CompactGraph compileGraph(const NetworkGraph& g, const CostFn& cost,
@@ -129,6 +129,9 @@ class CompactGraph {
     /// when the id range is close to the node count, empty otherwise.
     std::vector<std::uint32_t> idToDense;
     std::unordered_map<NodeId, std::uint32_t> nodeToDense;
+    /// Fill both lookups from denseToNode (compileGraph and
+    /// IncrementalTopology share this, so their tables match exactly).
+    void buildLookups();
   };
   /// Never null (default-constructed graphs hold an empty table).
   std::shared_ptr<const NodeTable> nodes_ = std::make_shared<NodeTable>();

@@ -26,6 +26,8 @@
 #include <openspace/sim/flow_sim.hpp>
 #include <openspace/sim/flow_sweep.hpp>
 #include <openspace/topology/builder.hpp>
+#include <openspace/topology/delta.hpp>
+#include <openspace/topology/reference_snapshot.hpp>
 
 namespace openspace {
 namespace {
@@ -814,6 +816,57 @@ TEST_F(CityFlowsFixture, RejectsBadInputs) {
 
 // --- multi-snapshot flow sweeps over the delta path -------------------------
 
+/// runFlowSweep's loop rebuilt from the executable specs: each step's graph
+/// is a compile of the reference snapshot (spec/topology/), every source
+/// gets a fresh Dijkstra tree, and the same FlowSimulator slice runs over
+/// the selected routes. Folds the same checksum runFlowSweep does.
+FlowSweepReport referenceFlowSweep(const TopologyBuilder& builder,
+                                   const SnapshotOptions& opt,
+                                   const std::vector<FlowSweepDemand>& demands,
+                                   const FlowSweepConfig& cfg) {
+  const CompactGraph::CostFn delayCost = delayCostModel().link;
+  FlowSweepReport out;
+  const double endS = cfg.t0S + cfg.horizonS;
+  std::size_t stepIdx = 0;
+  for (double t = cfg.t0S; t < endS; t += cfg.stepS, ++stepIdx) {
+    const auto graph = std::make_shared<const CompactGraph>(
+        compileGraph(referenceSnapshot(builder, t, opt), delayCost));
+    const RouteEngine engine(graph);
+    FlowSimConfig simCfg = cfg.sim;
+    simCfg.startS = t;
+    simCfg.durationS = std::min(t + cfg.stepS, endS) - t;
+    simCfg.seed = fnv1a(cfg.sim.seed, stepIdx);
+    FlowSimulator sim(graph, simCfg);
+    for (const FlowSweepDemand& d : demands) {
+      const Route r = engine.shortestPathTree(d.src).routeTo(d.dst);
+      out.checksum = fnv1a(out.checksum, r.nodes.size());
+      for (const NodeId n : r.nodes) out.checksum = fnv1a(out.checksum, n.value());
+      if (!r.valid()) continue;
+      FlowSpec spec;
+      spec.src = d.src;
+      spec.dst = d.dst;
+      spec.rateBps = d.rateBps;
+      spec.packetBits = d.packetBits;
+      spec.startS = simCfg.startS;
+      spec.stopS = simCfg.startS + simCfg.durationS;
+      sim.addFlow(spec, r);
+    }
+    const FlowSimReport rep = sim.run();
+    FlowSweepStep step;
+    step.tS = t;
+    step.packetsOffered = rep.packetsOffered;
+    step.packetsDelivered = rep.packetsDelivered;
+    step.packetsDropped = rep.packetsDropped;
+    step.recordChecksum = rep.recordChecksum;
+    out.checksum = fnv1a(out.checksum, rep.recordChecksum);
+    out.packetsOffered += rep.packetsOffered;
+    out.packetsDelivered += rep.packetsDelivered;
+    out.packetsDropped += rep.packetsDropped;
+    out.steps.push_back(step);
+  }
+  return out;
+}
+
 class FlowSweepFixture : public ::testing::Test {
  protected:
   FlowSweepFixture() {
@@ -840,13 +893,12 @@ class FlowSweepFixture : public ::testing::Test {
     opt.minElevationRad = deg2rad(10.0);
     return opt;
   }
-  static FlowSweepConfig sweep(TemporalBuild build) {
+  static FlowSweepConfig sweep() {
     FlowSweepConfig cfg;
     cfg.t0S = 0.0;
     cfg.horizonS = 2.0;
     cfg.stepS = 0.5;
     cfg.sim = FlowSimConfig{}.withSeed(11);
-    cfg.build = build;
     return cfg;
   }
   EphemerisService eph_;
@@ -856,15 +908,14 @@ class FlowSweepFixture : public ::testing::Test {
 };
 
 TEST_F(FlowSweepFixture, DeltaAndFreshSweepsAreBitIdentical) {
-  const FlowSweepReport delta =
-      runFlowSweep(*topo_, opts(), demands_, sweep(TemporalBuild::Delta));
+  const FlowSweepReport delta = runFlowSweep(*topo_, opts(), demands_, sweep());
   const FlowSweepReport fresh =
-      runFlowSweep(*topo_, opts(), demands_, sweep(TemporalBuild::FreshCompile));
+      referenceFlowSweep(*topo_, opts(), demands_, sweep());
   ASSERT_EQ(delta.steps.size(), 4u);
   ASSERT_EQ(fresh.steps.size(), 4u);
   EXPECT_GT(delta.packetsOffered, 0u);
   EXPECT_GT(delta.packetsDelivered, 0u);
-  // The delta path's graphs are bit-identical to fresh compiles and
+  // The delta path's graphs are bit-identical to reference compiles and
   // repaired trees equal fresh trees, so the whole simulated packet
   // stream matches record-for-record.
   EXPECT_EQ(delta.checksum, fresh.checksum);
@@ -875,30 +926,29 @@ TEST_F(FlowSweepFixture, DeltaAndFreshSweepsAreBitIdentical) {
     EXPECT_EQ(delta.steps[i].recordChecksum, fresh.steps[i].recordChecksum)
         << "step " << i;
   }
-  // The fresh path rebuilds every step; the delta path compiled step 0 and
-  // patched the short-interval follow-ups (link payload drift only).
-  EXPECT_EQ(fresh.structuralSteps, fresh.steps.size());
+  // The delta path compiled step 0 and patched the short-interval
+  // follow-ups (link payload drift only).
   EXPECT_GE(delta.structuralSteps, 1u);
   EXPECT_LT(delta.structuralSteps, delta.steps.size());
 }
 
 TEST_F(FlowSweepFixture, SweepValidation) {
-  FlowSweepConfig bad = sweep(TemporalBuild::Delta);
+  FlowSweepConfig bad = sweep();
   bad.stepS = 0.0;
   EXPECT_THROW(runFlowSweep(*topo_, opts(), demands_, bad),
                InvalidArgumentError);
-  bad = sweep(TemporalBuild::Delta);
+  bad = sweep();
   bad.horizonS = -1.0;
   EXPECT_THROW(runFlowSweep(*topo_, opts(), demands_, bad),
                InvalidArgumentError);
   std::vector<FlowSweepDemand> unset(1);
-  EXPECT_THROW(runFlowSweep(*topo_, opts(), unset, sweep(TemporalBuild::Delta)),
+  EXPECT_THROW(runFlowSweep(*topo_, opts(), unset, sweep()),
                InvalidArgumentError);
   FlowSweepDemand unknown;
   unknown.src = NodeId{999'999};
   unknown.dst = gwA_;
   EXPECT_THROW(runFlowSweep(*topo_, opts(), {unknown},
-                            sweep(TemporalBuild::Delta)),
+                            sweep()),
                NotFoundError);
 }
 

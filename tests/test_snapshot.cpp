@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/ephemeris.hpp>
+#include <openspace/orbit/shells.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -304,6 +306,28 @@ TEST(Snapshot, ShortestIslPathSelfAndDisconnected) {
 
   // A max range below any pairwise distance disconnects everything.
   EXPECT_FALSE(snap.shortestIslPath(0, 1, 1.0).has_value());
+}
+
+TEST(Snapshot, IslTopologyRejectsNaNRange) {
+  const auto sats = testConstellation(16);
+  const ConstellationSnapshot snap(sats, 0.0);
+  EXPECT_THROW((void)snap.islTopology(std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
+}
+
+TEST(Snapshot, MultiShellFleetRejectsNaNRanges) {
+  WalkerConfig walker;
+  walker.totalSatellites = 6;
+  walker.planes = 3;
+  walker.altitudeM = km(780.0);
+  walker.inclinationRad = deg2rad(86.4);
+  MultiShellConfig cfg;
+  cfg.shells = {ShellSpec{ShellKind::Star, walker, false}};
+  cfg.maxIslRangeM = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MultiShellFleet{cfg}, InvalidArgumentError);
+  cfg.maxIslRangeM = km(6000.0);
+  cfg.crossShellMaxRangeM = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MultiShellFleet{cfg}, InvalidArgumentError);
 }
 
 TEST(Snapshot, FootprintIndexMatchesElevationTest) {

@@ -129,23 +129,7 @@ TEST_F(SparseConstellation, UnreachableBeyondHorizon) {
   EXPECT_FALSE(r.reachable);
 }
 
-// --- Build modes and the snapshot cache ------------------------------------
-
-TEST_F(DenseConstellation, DeltaAndFreshBuildsRouteIdentically) {
-  const ContactGraphRouter delta(*topo_, denseOpts(), 0.0, 600.0, 60.0,
-                                 TemporalBuild::Delta);
-  const ContactGraphRouter fresh(*topo_, denseOpts(), 0.0, 600.0, 60.0,
-                                 TemporalBuild::FreshCompile);
-  for (const double tStart : {0.0, 90.0, 250.0, 599.0}) {
-    const TemporalRoute a = delta.earliestArrival(user_, gw_, tStart);
-    const TemporalRoute b = fresh.earliestArrival(user_, gw_, tStart);
-    ASSERT_EQ(a.reachable, b.reachable) << "tStart=" << tStart;
-    // The underlying graphs are bit-identical, so so are the labels.
-    EXPECT_EQ(a.arrivalS, b.arrivalS) << "tStart=" << tStart;
-    EXPECT_EQ(a.hops, b.hops);
-    EXPECT_EQ(a.intervalsUsed, b.intervalsUsed);
-  }
-}
+// --- The snapshot cache ----------------------------------------------------
 
 TEST_F(DenseConstellation, RepeatedSweepsHitTheSnapshotCache) {
   SnapshotCache& cache = SnapshotCache::global();

@@ -1,9 +1,17 @@
 // Property tests for the incremental temporal topology pipeline
-// (topology/delta.hpp): delta-built CompactGraphs must be bit-identical to
-// fresh compileGraph() output, across all three ISL wiring policies, over
-// randomized constellations and sweeps. The fresh path is the executable
-// spec; contentChecksum() is the witness.
+// (topology/delta.hpp) and the link enumerator it shares with
+// TopologyBuilder::snapshot() (topology/link_enumerator.hpp): delta-built
+// CompactGraphs must be bit-identical to compileGraph() of the test-side
+// reference snapshot (spec/topology/reference_snapshot.hpp), across all
+// three ISL wiring policies, over randomized constellations and sweeps;
+// builder.snapshot() must equal the reference link for link.
+// contentChecksum() is the witness.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <thread>
 
 #include <openspace/core/hash.hpp>
 #include <openspace/geo/error.hpp>
@@ -14,6 +22,7 @@
 #include <openspace/orbit/walker.hpp>
 #include <openspace/routing/engine.hpp>
 #include <openspace/topology/delta.hpp>
+#include <openspace/topology/reference_snapshot.hpp>
 
 namespace openspace {
 namespace {
@@ -70,14 +79,30 @@ SnapshotOptions optsFor(IslWiring wiring, int planes, Rng& rng) {
   return opt;
 }
 
-/// One sweep: every step's delta graph checksums equal to a fresh compile
-/// of the same snapshot under the same cost model.
+/// Fleet shape of a randomized scenario: 24 satellites by default, so the
+/// snapshot's ISL adjacency takes its all-pairs path.
+struct Fleet {
+  int planes = 4;
+  int perPlane = 6;
+  /// Most 5-40 s steps keep the link set, so the sweep must patch.
+  bool expectPatchedSteps = true;
+};
+
+/// 312 satellites, above kIslAllPairsMaxSats (256): the NearestNeighbors
+/// candidates come from the grid-pruned adjacency, not the all-pairs scan.
+/// Nearest-neighbor selection over this many satellites reorders on nearly
+/// every 5-40 s step, so this fleet pins enumeration, not patching.
+constexpr Fleet kLargeFleet{12, 26, false};
+static_assert(static_cast<std::size_t>(kLargeFleet.planes * kLargeFleet.perPlane) >
+              kIslAllPairsMaxSats);
+
+/// One sweep: every step's delta graph checksums equal to a compile of the
+/// reference snapshot under the same cost model.
 void expectBitIdenticalSweep(IslWiring wiring, const TemporalCostModel& model,
-                             std::uint64_t seed) {
+                             std::uint64_t seed, Fleet fleet = {}) {
   Rng rng(seed);
-  const int planes = 4;
-  const auto sc = makeScenario(rng, planes, 6, 2, 3);
-  const SnapshotOptions opt = optsFor(wiring, planes, rng);
+  const auto sc = makeScenario(rng, fleet.planes, fleet.perPlane, 2, 3);
+  const SnapshotOptions opt = optsFor(wiring, fleet.planes, rng);
   IncrementalTopology inc(*sc->topo, opt, model);
 
   std::size_t structuralSteps = 0;
@@ -85,10 +110,10 @@ void expectBitIdenticalSweep(IslWiring wiring, const TemporalCostModel& model,
   double t = 0.0;
   for (int k = 0; k < 24; ++k) {
     const TopologyDelta& d = inc.step(t);
-    const CompactGraph fresh =
-        compileGraph(sc->topo->snapshot(t, opt), model.link);
+    const CompactGraph ref =
+        compileGraph(referenceSnapshot(*sc->topo, t, opt), model.link);
     ASSERT_NE(inc.graph(), nullptr);
-    ASSERT_EQ(inc.graph()->contentChecksum(), fresh.contentChecksum())
+    ASSERT_EQ(inc.graph()->contentChecksum(), ref.contentChecksum())
         << "wiring=" << static_cast<int>(wiring) << " seed=" << seed
         << " t=" << t;
     if (d.structural) {
@@ -102,7 +127,7 @@ void expectBitIdenticalSweep(IslWiring wiring, const TemporalCostModel& model,
   }
   // The sweep exercised the patch path, not just rebuilds (step sizes are
   // small enough that most steps keep the link set).
-  EXPECT_GT(patchedSteps, 0u) << "seed=" << seed;
+  if (fleet.expectPatchedSteps) EXPECT_GT(patchedSteps, 0u) << "seed=" << seed;
   // The first step is always structural (nothing to patch against).
   EXPECT_GE(structuralSteps, 1u);
 }
@@ -118,6 +143,11 @@ TEST_P(DeltaBitIdentity, NearestNeighborsDelayCost) {
                           GetParam());
 }
 
+TEST_P(DeltaBitIdentity, NearestNeighborsLargeFleetDelayCost) {
+  expectBitIdenticalSweep(IslWiring::NearestNeighbors, delayCostModel(),
+                          GetParam(), kLargeFleet);
+}
+
 TEST_P(DeltaBitIdentity, AllInRangeDelayCost) {
   expectBitIdenticalSweep(IslWiring::AllInRange, delayCostModel(), GetParam());
 }
@@ -128,6 +158,120 @@ TEST_P(DeltaBitIdentity, PlusGridHopCost) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaBitIdentity,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// --- builder.snapshot() == reference, link for link -------------------------
+
+void expectSameLinks(const NetworkGraph& got, const NetworkGraph& ref,
+                     const std::string& where) {
+  ASSERT_EQ(got.nodes(), ref.nodes()) << where;
+  const std::vector<LinkId> gotIds = got.links();
+  const std::vector<LinkId> refIds = ref.links();
+  ASSERT_EQ(gotIds.size(), refIds.size()) << where;
+  for (std::size_t p = 0; p < gotIds.size(); ++p) {
+    const Link& x = got.link(gotIds[p]);
+    const Link& y = ref.link(refIds[p]);
+    ASSERT_EQ(x.id, y.id) << where << " link " << p;
+    ASSERT_EQ(x.a, y.a) << where << " link " << p;
+    ASSERT_EQ(x.b, y.b) << where << " link " << p;
+    ASSERT_EQ(x.type, y.type) << where << " link " << p;
+    ASSERT_EQ(x.band, y.band) << where << " link " << p;
+    ASSERT_EQ(bitsOf(x.distanceM), bitsOf(y.distanceM)) << where << " link " << p;
+    ASSERT_EQ(bitsOf(x.propagationDelayS), bitsOf(y.propagationDelayS))
+        << where << " link " << p;
+    ASSERT_EQ(bitsOf(x.queueingDelayS), bitsOf(y.queueingDelayS))
+        << where << " link " << p;
+    ASSERT_EQ(bitsOf(x.capacityBps), bitsOf(y.capacityBps))
+        << where << " link " << p;
+  }
+}
+
+TEST(SnapshotReference, BuilderMatchesReferenceLinkForLink) {
+  for (const IslWiring wiring : {IslWiring::PlusGrid, IslWiring::NearestNeighbors,
+                                 IslWiring::AllInRange}) {
+    for (const Fleet fleet : {Fleet{}, kLargeFleet}) {
+      std::size_t links = 0;
+      for (const std::uint64_t seed : {51u, 52u}) {
+        Rng rng(seed);
+        const auto sc = makeScenario(rng, fleet.planes, fleet.perPlane, 2, 3);
+        const SnapshotOptions opt = optsFor(wiring, fleet.planes, rng);
+        for (const double t : {0.0, 437.0, 2'900.0}) {
+          const NetworkGraph got = sc->topo->snapshot(t, opt);
+          links += got.linkCount();
+          expectSameLinks(got, referenceSnapshot(*sc->topo, t, opt),
+                          "wiring=" + std::to_string(static_cast<int>(wiring)) +
+                              " sats=" +
+                              std::to_string(fleet.planes * fleet.perPlane) +
+                              " seed=" + std::to_string(seed) +
+                              " t=" + std::to_string(t));
+        }
+      }
+      EXPECT_GT(links, 0u) << "wiring=" << static_cast<int>(wiring)
+                           << " sats=" << fleet.planes * fleet.perPlane;
+    }
+  }
+}
+
+TEST(SnapshotReference, ConcurrentSnapshotsMatchReference) {
+  // snapshot() is const and keeps its enumeration scratch local to the
+  // call, so concurrent callers on one builder need no synchronization.
+  Rng rng(53);
+  const auto sc = makeScenario(rng, 4, 6, 2, 3);
+  const SnapshotOptions opt = optsFor(IslWiring::NearestNeighbors, 4, rng);
+  const NetworkGraph ref = referenceSnapshot(*sc->topo, 300.0, opt);
+  std::vector<NetworkGraph> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    threads.emplace_back([&, k] { got[k] = sc->topo->snapshot(300.0, opt); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    expectSameLinks(got[k], ref, "thread " + std::to_string(k));
+  }
+}
+
+TEST(SnapshotReference, NearestNeighborsSelectsBeforeSightlineTest) {
+  // A and B share a 500 km equatorial orbit 42 degrees apart: 4,925 km,
+  // a chord the Earth blocks. C flies at 1,200 km 40 degrees behind A:
+  // 4,983 km from A, in clear sight, and out of B's range. With k = 1, A's
+  // one candidate is B, which the sightline test then rejects; A must not
+  // fall back to C. The A-C link comes from C's own attempt (a = C). A ring
+  // of 300 satellites at 20,000 km, far out of the trio's range, takes the
+  // fleet past kIslAllPairsMaxSats onto the grid-pruned candidate path.
+  for (const int filler : {0, 300}) {
+    EphemerisService eph;
+    eph.publish(ProviderId{1},
+                OrbitalElements::circular(km(500.0), 0.0, 0.0, 0.0));
+    eph.publish(ProviderId{1},
+                OrbitalElements::circular(km(500.0), 0.0, 0.0, deg2rad(42.0)));
+    eph.publish(ProviderId{1},
+                OrbitalElements::circular(km(1200.0), 0.0, 0.0, deg2rad(320.0)));
+    for (int f = 0; f < filler; ++f) {
+      eph.publish(ProviderId{1}, OrbitalElements::circular(
+                                     km(20'000.0), 0.0, 0.0,
+                                     deg2rad(360.0 * f / filler)));
+    }
+    const TopologyBuilder topo(eph);
+    SnapshotOptions opt;
+    opt.wiring = IslWiring::NearestNeighbors;
+    opt.nearestK = 1;
+    opt.maxIslRangeM = km(6000.0);
+    const NetworkGraph got = topo.snapshot(0.0, opt);
+    const std::string where = "filler=" + std::to_string(filler);
+    expectSameLinks(got, referenceSnapshot(topo, 0.0, opt), where);
+    const std::vector<SatelliteId>& sats = eph.satellites();
+    std::vector<LinkId> trioLinks;
+    for (const std::size_t s : {0u, 1u, 2u}) {
+      for (const LinkId l : got.linksOf(topo.nodeOf(sats[s]))) {
+        if (std::find(trioLinks.begin(), trioLinks.end(), l) == trioLinks.end()) {
+          trioLinks.push_back(l);
+        }
+      }
+    }
+    ASSERT_EQ(trioLinks.size(), 1u) << where;
+    EXPECT_EQ(got.link(trioLinks[0]).a, topo.nodeOf(sats[2])) << where;
+    EXPECT_EQ(got.link(trioLinks[0]).b, topo.nodeOf(sats[0])) << where;
+  }
+}
 
 // --- Step/delta semantics --------------------------------------------------
 
@@ -190,8 +334,9 @@ TEST(IncrementalTopology, PlusGridValidation) {
 
 TEST(IncrementalTopology, DegeneratePlusGridSelfPairThrows) {
   // Two planes of one slot each: the intra-plane ring neighbor of slot 0
-  // is slot 0 itself. The incremental pipeline rejects the degenerate grid
-  // eagerly instead of emitting a self-loop.
+  // is slot 0 itself. The shared link enumerator rejects the degenerate
+  // grid eagerly, for the snapshot and the incremental pipeline alike,
+  // instead of emitting a self-loop.
   EphemerisService eph;
   WalkerConfig cfg;
   cfg.totalSatellites = 2;
@@ -203,7 +348,53 @@ TEST(IncrementalTopology, DegeneratePlusGridSelfPairThrows) {
   SnapshotOptions opt;
   opt.wiring = IslWiring::PlusGrid;
   opt.planes = 2;
-  EXPECT_THROW(IncrementalTopology(topo, opt), InvalidArgumentError);
+  const auto messageOf = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const InvalidArgumentError& e) {
+      return e.what();
+    }
+    return "no InvalidArgumentError";
+  };
+  const std::string fromDelta =
+      messageOf([&] { IncrementalTopology inc(topo, opt); });
+  const std::string fromSnapshot = messageOf([&] { topo.snapshot(0.0, opt); });
+  EXPECT_NE(fromDelta.find("wires a satellite to itself"), std::string::npos)
+      << fromDelta;
+  EXPECT_EQ(fromSnapshot, fromDelta);
+}
+
+TEST(SnapshotOptionsValidation, BadRangeOrMaskThrowsFromBothPaths) {
+  Rng rng(16);
+  const auto sc = makeScenario(rng, 4, 6, 1, 1);
+  const auto expectBothThrow = [&](const SnapshotOptions& opt) {
+    EXPECT_THROW(sc->topo->snapshot(100.0, opt), InvalidArgumentError);
+    EXPECT_THROW(IncrementalTopology(*sc->topo, opt), InvalidArgumentError);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  SnapshotOptions nn;
+  nn.wiring = IslWiring::NearestNeighbors;
+  SnapshotOptions bad = nn;
+  bad.maxIslRangeM = kNaN;  // every `dist > range` test would be false
+  expectBothThrow(bad);
+  bad = nn;
+  bad.maxIslRangeM = -1.0;
+  expectBothThrow(bad);
+  bad = nn;
+  bad.maxIslRangeM = 0.0;
+  expectBothThrow(bad);
+  SnapshotOptions grid;
+  grid.wiring = IslWiring::PlusGrid;
+  grid.planes = 4;
+  bad = grid;
+  bad.maxIslRangeM = kNaN;
+  expectBothThrow(bad);
+  bad = grid;
+  bad.minElevationRad = kNaN;  // `elev < mask` would pass every satellite
+  expectBothThrow(bad);
+  bad = nn;
+  bad.minElevationRad = kNaN;
+  expectBothThrow(bad);
 }
 
 TEST(IncrementalTopology, NullCostModelThrows) {
