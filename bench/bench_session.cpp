@@ -1,18 +1,26 @@
 // Million-user session plane: the batched HandoverSweep epoch kernel vs
 // the stateless per-user HandoverPlanner scan (paper §2.2 at scale).
 //
-// Scenario (scale 1.0): the 66-sat Iridium-like Walker star serving
-// 1,000,000 users drawn from the default world population model, swept
-// through 24 epochs of 15 s — the paper's Starlink handover-cadence
-// anchor sets the control-plane tick — over a six-minute steady-state
-// window. The tick length is where the expiry heap earns its keep: the
-// stateless planner scan pays O(users) per epoch regardless of how many
-// sessions actually need a decision, while the sweep pays per executed
-// handover plus one index compile per epoch. argv[2]
-// scales the user count (0.2 -> 200k users for the perf-smoke lane,
-// 0.02 -> 20k users for the TSan lane); argv[1] is the JSON output path.
+// Two tiers, each swept through epochs of 15 s — the paper's Starlink
+// handover-cadence anchor sets the control-plane tick — with users drawn
+// from the default world population model:
+//  * iridium (scale 1.0): the 66-sat Iridium-like Walker star serving
+//    1,000,000 users over a six-minute steady-state window (24 epochs).
+//    A pick sees 1-3 candidates above the mask.
+//  * dense (scale 1.0): bench_scale's 1k tier — a 720-sat 53 deg Delta
+//    shell stacked with a 360-sat polar Star shell — serving 100,000
+//    users over 24 minutes (96 epochs). A pick sees 20+ candidates above the mask, and most of them
+//    are ruled out by the successor search's one-probe bound; the tier
+//    reports how many (search_prune_ratio: candidates above the mask per
+//    full visibility search, a deterministic count).
+// The tick length is where the expiry heap earns its keep: the stateless
+// planner scan pays O(users) per epoch regardless of how many sessions
+// actually need a decision, while the sweep pays per executed handover
+// plus one index compile per epoch. argv[2] scales both user counts (0.2
+// for the perf-smoke lane, 0.02 for the TSan lane); argv[1] is the JSON
+// output path.
 //
-// Structure — verification and timing are separate:
+// Structure per tier — verification and timing are separate:
 //  * verify (untimed) — a small-table sweep runs next to simulateHandovers
 //    for a subsample of users: every handover's time, endpoints and
 //    latency must match the legacy timeline bit for bit (hard gate, exit
@@ -29,11 +37,13 @@
 //    bestSatelliteAt(user, t) at every epoch start, measured on a
 //    subsample and extrapolated to the full population. The >= 10x floor
 //    is enforced by tools/bench_compare.py, not here (wall-clock asserts
-//    flake on loaded machines; checksum gates cannot).
+//    flake on loaded machines; checksum gates cannot). bench_compare.py
+//    also holds the dense tier's search_prune_ratio to a floor.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +51,7 @@
 #include <openspace/core/hash.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/handover/handover.hpp>
+#include <openspace/orbit/shells.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
@@ -52,7 +63,6 @@ namespace {
 using namespace openspace;
 
 constexpr int kPasses = 3;      // best-of to shrug off scheduler noise
-constexpr int kEpochs = 24;     // steady-state window: 24 x 15 s
 constexpr double kEpochS = 15.0;
 
 double nowS() {
@@ -86,7 +96,7 @@ Timed timeIt(Pass&& pass, int passes = kPasses) {
   return r;
 }
 
-/// One seed + epoch-chain run over the full population; the epoch loop is
+/// One seed + epoch-chain run over a tier's population; the epoch loop is
 /// the timed region.
 struct SweepRun {
   double seedS = 0.0;
@@ -99,23 +109,44 @@ struct SweepRun {
   std::size_t reacquisitions = 0;
   std::size_t certHits = 0;
   std::size_t certMisses = 0;
+  std::size_t candidatesAboveMask = 0;
+  std::size_t visibilitySearches = 0;
   double outageS = 0.0;
 };
 
-}  // namespace
+/// One tier's fleet, population size (at scale 1), epoch count and the
+/// planner-scan subsample the baseline is extrapolated from.
+struct TierSpec {
+  const char* name;
+  std::vector<OrbitalElements> fleet;
+  std::size_t users;
+  int epochs;
+  std::size_t baselineUsers;
+};
 
-int main(int argc, char** argv) {
-  const char* jsonPath = argc > 1 ? argv[1] : "BENCH_session.json";
-  const double scale =
-      argc > 2 ? std::clamp(std::atof(argv[2]), 1e-3, 10.0) : 1.0;
-  const double wallStartS = nowS();
-  const int poolThreads = parallelThreadCount();
+/// Everything one tier reports; `json` is its record in the tiers array.
+struct TierResult {
+  bool legacyMatch = true;
+  bool serialParallelMatch = true;
+  std::string json;
+};
 
-  // --- shared constellation + population -----------------------------------
+std::vector<OrbitalElements> denseFleet() {
+  MultiShellConfig cfg;
+  ShellSpec delta;
+  delta.kind = ShellKind::Delta;
+  delta.walker = {720, 36, 17, km(550.0), deg2rad(53.0)};
+  ShellSpec star;
+  star.kind = ShellKind::Star;
+  star.walker = {360, 30, 1, km(560.0), deg2rad(86.4)};
+  cfg.shells = {delta, star};
+  return MultiShellFleet(cfg).elements();
+}
+
+/// Verify, time and report one tier (see the file comment).
+TierResult runTier(const TierSpec& spec, double scale, int poolThreads) {
   EphemerisService eph;
-  for (const auto& el : makeWalkerStar(iridiumConfig())) {
-    eph.publish(ProviderId{1}, el);
-  }
+  for (const auto& el : spec.fleet) eph.publish(ProviderId{1}, el);
   const std::size_t satCount = eph.satellites().size();
   std::unordered_map<std::uint32_t, std::uint32_t> indexOf;
   {
@@ -132,8 +163,9 @@ int main(int argc, char** argv) {
   const HandoverPlanner planner(eph, cfg.minElevationRad);
 
   const std::size_t users = std::max<std::size_t>(
-      256, static_cast<std::size_t>(1'000'000 * scale));
-  const double windowS = kEpochs * kEpochS;
+      256, static_cast<std::size_t>(static_cast<double>(spec.users) * scale));
+  const int epochs = spec.epochs;
+  const double windowS = epochs * kEpochS;
 
   Rng rng(42);
   const CertificateAuthority authority(ProviderId{1}, 0xB47C'5E55ull,
@@ -147,8 +179,8 @@ int main(int argc, char** argv) {
   const std::size_t cacheBudget = 128 * users;
 
   // --- verify (untimed): sweep == legacy, bit for bit ----------------------
+  TierResult out;
   const std::size_t verifyUsers = std::min<std::size_t>(users, 200);
-  bool legacyMatch = true;
   std::size_t verifyEvents = 0;
   {
     const std::vector<SessionSeed> sub(seeds.begin(),
@@ -157,7 +189,7 @@ int main(int argc, char** argv) {
     table.setCertificateCacheByteBudget(cacheBudget);
     sweeper.seed(table, sub, 0.0, SeedMode::Planner);
     std::vector<SessionEvent> events;
-    for (int e = 1; e <= kEpochs; ++e) {
+    for (int e = 1; e <= epochs; ++e) {
       sweeper.runEpoch(table, e * kEpochS, &events);
     }
     std::unordered_map<UserId, std::vector<SessionEvent>> byUser;
@@ -175,7 +207,7 @@ int main(int argc, char** argv) {
              bitsOf(mine[j].latencyS) == bitsOf(ref.latencyS);
       }
       verifyEvents += tl.events.size();
-      legacyMatch = legacyMatch && ok;
+      out.legacyMatch = out.legacyMatch && ok;
     }
   }
 
@@ -192,7 +224,7 @@ int main(int argc, char** argv) {
     r.seedS = nowS() - t0;
     setParallelThreadCount(threads);
     t0 = nowS();
-    for (int e = 1; e <= kEpochs; ++e) {
+    for (int e = 1; e <= epochs; ++e) {
       const EpochStats st = sweeper.runEpoch(table, e * kEpochS);
       r.eventChain = fnv1a(r.eventChain, st.eventChecksum);
       r.touched += st.sessionsTouched;
@@ -201,6 +233,8 @@ int main(int argc, char** argv) {
       r.reacquisitions += st.reacquisitions;
       r.certHits += st.certCacheHits;
       r.certMisses += st.certCacheMisses;
+      r.candidatesAboveMask += st.candidatesAboveMask;
+      r.visibilitySearches += st.visibilitySearches;
       r.outageS += st.outageS;
     }
     r.sweepS = nowS() - t0;
@@ -210,18 +244,19 @@ int main(int argc, char** argv) {
   };
   const SweepRun serial = runAt(1);
   const SweepRun parallel = runAt(parThreads);
-  const bool serialParallelMatch =
+  out.serialParallelMatch =
       serial.stateChecksum == parallel.stateChecksum &&
       serial.eventChain == parallel.eventChain &&
       serial.handovers == parallel.handovers &&
+      serial.visibilitySearches == parallel.visibilitySearches &&
       bitsOf(serial.outageS) == bitsOf(parallel.outageS);
 
   // --- baseline (timed): the per-user planner scan, subsampled -------------
-  const std::size_t baseUsers = std::min<std::size_t>(users, 384);
+  const std::size_t baseUsers = std::min(users, spec.baselineUsers);
   setParallelThreadCount(1);  // single-core, like the serial sweep
   const Timed base = timeIt([&] {
     std::uint64_t h = kFnvOffsetBasis;
-    for (int e = 0; e < kEpochs; ++e) {
+    for (int e = 0; e < epochs; ++e) {
       const double t = e * kEpochS;
       for (std::size_t u = 0; u < baseUsers; ++u) {
         const auto best = planner.bestSatelliteAt(seeds[u].location, t);
@@ -238,13 +273,16 @@ int main(int argc, char** argv) {
       serial.sweepS > 0.0 ? baselineS / serial.sweepS : 0.0;
   const double speedupParallel =
       parallel.sweepS > 0.0 ? serial.sweepS / parallel.sweepS : 0.0;
-
-  const bool allMatch = legacyMatch && serialParallelMatch;
+  const double pruneRatio =
+      serial.visibilitySearches > 0
+          ? static_cast<double>(serial.candidatesAboveMask) /
+                static_cast<double>(serial.visibilitySearches)
+          : 0.0;
 
   // --- report --------------------------------------------------------------
-  std::printf("# Session plane: batched epoch sweep vs per-user planner "
-              "scan (%zu sats, %zu users, %d epochs of %.0f s, scale=%.3f)\n\n",
-              satCount, users, kEpochs, kEpochS, scale);
+  std::printf("# tier %s: batched epoch sweep vs per-user planner scan "
+              "(%zu sats, %zu users, %d epochs of %.0f s, scale=%.3f)\n\n",
+              spec.name, satCount, users, epochs, kEpochS, scale);
   std::printf("%-22s %-12s %-14s %-10s\n", "path", "threads", "epochs_s",
               "speedup");
   std::printf("%-22s %-12zu %-14.3f %-10s\n", "planner scan (extrap)",
@@ -261,53 +299,95 @@ int main(int argc, char** argv) {
   std::printf("# cert cache: %zu hits / %zu misses (budget %zu B); "
               "outage %.3f s across the fleet\n",
               serial.certHits, serial.certMisses, cacheBudget, serial.outageS);
+  std::printf("# successor search: %zu candidates above the mask, %zu full "
+              "visibility searches (prune ratio %.2f)\n",
+              serial.candidatesAboveMask, serial.visibilitySearches,
+              pruneRatio);
   std::printf("# gates: sweep==legacy (%zu users, %zu events) %s  "
-              "serial==parallel %s\n",
-              verifyUsers, verifyEvents, legacyMatch ? "MATCH" : "MISMATCH",
-              serialParallelMatch ? "MATCH" : "MISMATCH");
+              "serial==parallel %s\n\n",
+              verifyUsers, verifyEvents, out.legacyMatch ? "MATCH" : "MISMATCH",
+              out.serialParallelMatch ? "MATCH" : "MISMATCH");
+
+  char buf[2048];
+  std::snprintf(
+      buf, sizeof(buf),
+      "    {\n      \"name\": \"%s\",\n"
+      "      \"sats\": %zu,\n"
+      "      \"users\": %zu,\n"
+      "      \"epochs\": %d,\n"
+      "      \"seed_s\": %.6f,\n"
+      "      \"sweep_serial_s\": %.6f,\n"
+      "      \"sweep_parallel_s\": %.6f,\n"
+      "      \"per_epoch_serial_ms\": %.4f,\n"
+      "      \"sessions_touched\": %zu,\n"
+      "      \"handovers\": %zu,\n"
+      "      \"coverage_holes\": %zu,\n"
+      "      \"reacquisitions\": %zu,\n"
+      "      \"cert_cache_hits\": %zu,\n"
+      "      \"cert_cache_misses\": %zu,\n"
+      "      \"candidates_above_mask\": %zu,\n"
+      "      \"visibility_searches\": %zu,\n"
+      "      \"search_prune_ratio\": %.4f,\n"
+      "      \"outage_s\": %.6f,\n"
+      "      \"baseline_users\": %zu,\n"
+      "      \"baseline_probe_s\": %.6f,\n"
+      "      \"baseline_extrapolated_s\": %.6f,\n"
+      "      \"speedup_vs_planner\": %.3f,\n"
+      "      \"speedup_parallel\": %.3f,\n"
+      "      \"equivalence_users\": %zu,\n"
+      "      \"equivalence_events\": %zu,\n"
+      "      \"state_checksum\": \"%016llx\",\n"
+      "      \"event_checksum\": \"%016llx\",\n"
+      "      \"checksums_match\": %s\n    }",
+      spec.name, satCount, users, epochs, serial.seedS, serial.sweepS,
+      parallel.sweepS, 1e3 * serial.sweepS / epochs, serial.touched,
+      serial.handovers, serial.holes, serial.reacquisitions, serial.certHits,
+      serial.certMisses, serial.candidatesAboveMask, serial.visibilitySearches,
+      pruneRatio, serial.outageS, baseUsers, base.bestPassS, baselineS,
+      speedupPlanner, speedupParallel, verifyUsers, verifyEvents,
+      static_cast<unsigned long long>(serial.stateChecksum),
+      static_cast<unsigned long long>(serial.eventChain),
+      out.legacyMatch && out.serialParallelMatch ? "true" : "false");
+  out.json = buf;
+  return out;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const char* jsonPath = argc > 1 ? argv[1] : "BENCH_session.json";
+  const double scale =
+      argc > 2 ? std::clamp(std::atof(argv[2]), 1e-3, 10.0) : 1.0;
+  const double wallStartS = nowS();
+  const int poolThreads = parallelThreadCount();
+
+  const std::vector<TierSpec> tiers = {
+      {"iridium", makeWalkerStar(iridiumConfig()), 1'000'000, 24, 384},
+      // Dense-fleet legs last most of a pass (the longest-visibility pick),
+      // so its window is four times longer for handovers to recur.
+      {"dense", denseFleet(), 100'000, 96, 64},
+  };
+  bool allMatch = true;
+  std::string tiersJson;
+  for (const TierSpec& spec : tiers) {
+    const TierResult r = runTier(spec, scale, poolThreads);
+    allMatch = allMatch && r.legacyMatch && r.serialParallelMatch;
+    if (!tiersJson.empty()) tiersJson += ",\n";
+    tiersJson += r.json;
+  }
 
   const double wallS = nowS() - wallStartS;
   if (std::FILE* f = std::fopen(jsonPath, "w")) {
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"session\",\n"
-        "  \"wall_seconds\": %.6f,\n"
-        "  \"threads\": %d,\n"
-        "  \"scale\": %.4f,\n"
-        "  \"sats\": %zu,\n"
-        "  \"users\": %zu,\n"
-        "  \"epochs\": %d,\n"
-        "  \"epoch_s\": %.3f,\n"
-        "  \"seed_s\": %.6f,\n"
-        "  \"sweep_serial_s\": %.6f,\n"
-        "  \"sweep_parallel_s\": %.6f,\n"
-        "  \"per_epoch_serial_ms\": %.4f,\n"
-        "  \"sessions_touched\": %zu,\n"
-        "  \"handovers\": %zu,\n"
-        "  \"coverage_holes\": %zu,\n"
-        "  \"reacquisitions\": %zu,\n"
-        "  \"cert_cache_hits\": %zu,\n"
-        "  \"cert_cache_misses\": %zu,\n"
-        "  \"outage_s\": %.6f,\n"
-        "  \"baseline_users\": %zu,\n"
-        "  \"baseline_probe_s\": %.6f,\n"
-        "  \"baseline_extrapolated_s\": %.6f,\n"
-        "  \"speedup_vs_planner\": %.3f,\n"
-        "  \"speedup_parallel\": %.3f,\n"
-        "  \"equivalence_users\": %zu,\n"
-        "  \"equivalence_events\": %zu,\n"
-        "  \"state_checksum\": \"%016llx\",\n"
-        "  \"event_checksum\": \"%016llx\",\n"
-        "  \"checksums_match\": %s\n}\n",
-        wallS, parThreads, scale, satCount, users, kEpochs, kEpochS,
-        serial.seedS, serial.sweepS, parallel.sweepS,
-        1e3 * serial.sweepS / kEpochs, serial.touched, serial.handovers,
-        serial.holes, serial.reacquisitions, serial.certHits,
-        serial.certMisses, serial.outageS, baseUsers, base.bestPassS,
-        baselineS, speedupPlanner, speedupParallel, verifyUsers, verifyEvents,
-        static_cast<unsigned long long>(serial.stateChecksum),
-        static_cast<unsigned long long>(serial.eventChain),
-        allMatch ? "true" : "false");
+    std::fprintf(f,
+                 "{\n  \"bench\": \"session\",\n"
+                 "  \"wall_seconds\": %.6f,\n"
+                 "  \"threads\": %d,\n"
+                 "  \"scale\": %.4f,\n"
+                 "  \"epoch_s\": %.3f,\n"
+                 "  \"checksums_match\": %s,\n"
+                 "  \"tiers\": [\n%s\n  ]\n}\n",
+                 wallS, std::max(poolThreads, 4), scale, kEpochS,
+                 allMatch ? "true" : "false", tiersJson.c_str());
     std::fclose(f);
     std::printf("# json: %s\n", jsonPath);
   }

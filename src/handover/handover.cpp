@@ -39,7 +39,9 @@ std::vector<std::uint32_t> visibleCandidates(
 HandoverPlanner::HandoverPlanner(const EphemerisService& ephemeris,
                                  double minElevationRad)
     : ephemeris_(ephemeris), minElevationRad_(minElevationRad) {
-  if (minElevationRad < 0.0 || minElevationRad >= std::numbers::pi / 2.0) {
+  // Written so NaN fails too: a NaN mask would make every visibility
+  // search return its start time without a word.
+  if (!(minElevationRad >= 0.0 && minElevationRad < std::numbers::pi / 2.0)) {
     throw InvalidArgumentError("HandoverPlanner: elevation mask out of range");
   }
 }
@@ -56,7 +58,8 @@ double HandoverPlanner::visibilityEndS(SatelliteId sat, const Geodetic& user,
 
 double HandoverPlanner::visibilityEndWith(SatelliteSweep& sweep,
                                           const Geodetic& user, double fromS,
-                                          double horizonS) const {
+                                          double horizonS,
+                                          double* lastVisibleGridS) const {
   // The horizon is an explicit, finite search bound: a satellite that never
   // drops below the mask (e.g. a mask of 0 over a pole-adjacent user, or a
   // horizon shorter than the pass) yields fromS + horizonS rather than an
@@ -68,6 +71,8 @@ double HandoverPlanner::visibilityEndWith(SatelliteSweep& sweep,
   const auto visible = [&](double t) {
     return elevationFrom(sweep.positionEciAt(t), user, t) >= minElevationRad_;
   };
+  double lastGridS = fromS;
+  if (lastVisibleGridS != nullptr) *lastVisibleGridS = fromS;
   if (!visible(fromS)) return fromS;
   // Coarse forward scan (10 s grid, clamped to the horizon) then bisect
   // the set edge to ~1 ms.
@@ -84,8 +89,10 @@ double HandoverPlanner::visibilityEndWith(SatelliteSweep& sweep,
       crossed = true;
       break;
     }
+    lastGridS = clampedS;
     if (clampedS >= horizonEndS) break;
   }
+  if (lastVisibleGridS != nullptr) *lastVisibleGridS = lastGridS;
   // Still visible at every grid point up to the horizon: no LOS transition
   // inside the search window.
   if (!crossed) return horizonEndS;

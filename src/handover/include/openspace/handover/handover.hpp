@@ -32,7 +32,8 @@ struct HandoverPlan {
 /// Plans handovers from the shared ephemeris.
 class HandoverPlanner {
  public:
-  /// Throws InvalidArgumentError for elevation outside [0, pi/2).
+  /// Throws InvalidArgumentError for an elevation mask outside [0, pi/2),
+  /// NaN included.
   HandoverPlanner(const EphemerisService& ephemeris, double minElevationRad);
 
   /// When satellite `sat` stops being visible from `user` (first mask
@@ -48,9 +49,15 @@ class HandoverPlanner {
   /// same result bit-for-bit (visibilityEndS delegates here after seeding
   /// a fresh sweep). Candidate loops — bestSatelliteAt, the session-plane
   /// epoch sweep — reuse one SatelliteSweep object across satellites
-  /// instead of constructing one per visibility query.
+  /// instead of constructing one per visibility query. If
+  /// `lastVisibleGridS` is non-null it receives the last point of the
+  /// coarse 10 s grid the scan saw above the mask (fromS + horizonS when
+  /// it never crossed, fromS when the satellite drops out before the
+  /// first grid point or is not visible at fromS); the result does not
+  /// depend on it.
   double visibilityEndWith(SatelliteSweep& sweep, const Geodetic& user,
-                           double fromS, double horizonS = 3'600.0) const;
+                           double fromS, double horizonS = 3'600.0,
+                           double* lastVisibleGridS = nullptr) const;
 
   /// Best serving satellite at time t: visible and longest remaining
   /// service (maximizes time-to-next-handover), excluding `exclude`.

@@ -76,10 +76,12 @@ class ConstellationSnapshot {
   std::uint64_t elementsHash() const noexcept { return hash_; }
 
   /// Approximate resident size in bytes: the element list plus both
-  /// position arrays. The lazily built ISL adjacency is deliberately
-  /// excluded — SnapshotCache charges entries at insert time, before any
-  /// topology exists, and an approximate budget does not chase later
-  /// growth.
+  /// position arrays. The adjacency islTopology() caches is excluded —
+  /// SnapshotCache charges entries at insert time, before any topology
+  /// exists — so only its few callers (shortestIslPath, diffIslTopology,
+  /// MultiShellFleet's cross-shell links) keep one on a snapshot; the
+  /// per-step link enumerator builds its own with buildIslTopology() and
+  /// drops it after the step.
   std::size_t approxBytes() const noexcept {
     return sizeof(*this) +
            elements_.size() * (sizeof(OrbitalElements) + 2 * sizeof(Vec3));
@@ -114,6 +116,14 @@ class ConstellationSnapshot {
   /// Thread-safe. Throws InvalidArgumentError unless maxRangeM > 0.
   std::shared_ptr<const IslTopology> islTopology(
       double maxRangeM, double losClearanceM = km(80.0)) const;
+
+  /// The adjacency islTopology() caches, built afresh and owned by the
+  /// caller: nothing is kept on the snapshot. For one-shot consumers such
+  /// as the per-step link enumerator, whose adjacency would otherwise stay
+  /// alive in every SnapshotCache entry, outside the cache's byte budget.
+  /// Thread-safe. Throws InvalidArgumentError unless maxRangeM > 0.
+  IslTopology buildIslTopology(double maxRangeM,
+                               double losClearanceM = km(80.0)) const;
 
   /// Dijkstra over the cached ISL adjacency, edge weight = distance.
   /// Returns (path length, hops) or nullopt if disconnected. The adjacency

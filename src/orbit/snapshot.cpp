@@ -128,9 +128,6 @@ std::optional<std::size_t> ConstellationSnapshot::closestVisible(
 
 std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
     double maxRangeM, double losClearanceM) const {
-  if (!(maxRangeM > 0.0)) {
-    throw InvalidArgumentError("islTopology: maxRangeM must be > 0");
-  }
   {
     MutexLock lock(islMutex_);
     if (isl_ && isl_->maxRangeM == maxRangeM &&
@@ -138,19 +135,30 @@ std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
       return isl_;
     }
   }
+  auto topo = std::make_shared<const IslTopology>(
+      buildIslTopology(maxRangeM, losClearanceM));
+  MutexLock lock(islMutex_);
+  isl_ = std::move(topo);
+  return isl_;
+}
 
-  auto topo = std::make_shared<IslTopology>();
-  topo->maxRangeM = maxRangeM;
-  topo->losClearanceM = losClearanceM;
+IslTopology ConstellationSnapshot::buildIslTopology(double maxRangeM,
+                                                    double losClearanceM) const {
+  if (!(maxRangeM > 0.0)) {
+    throw InvalidArgumentError("islTopology: maxRangeM must be > 0");
+  }
+  IslTopology out;
+  out.maxRangeM = maxRangeM;
+  out.losClearanceM = losClearanceM;
   const std::size_t n = eci_.size();
-  topo->adjacency.resize(n);
+  out.adjacency.resize(n);
   // Fleets of <= kIslAllPairsMaxSats (snapshot.hpp) take the all-pairs
   // scan; the output is identical to the grid's (same edge predicate,
   // neighbors in index order either way — pinned by the boundary tests).
   const auto bruteForce = [&] {
     parallelFor(n, kAdjacencyChunk, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        auto& adj = topo->adjacency[i];
+        auto& adj = out.adjacency[i];
         for (std::size_t j = 0; j < n; ++j) {
           if (j == i) continue;
           const double d = eci_[i].distanceTo(eci_[j]);
@@ -227,7 +235,7 @@ std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
     };
     parallelFor(n, kAdjacencyChunk, [&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
-        auto& adj = topo->adjacency[i];
+        auto& adj = out.adjacency[i];
         for (std::int64_t dx = -1; dx <= 1; ++dx) {
           for (std::int64_t dy = -1; dy <= 1; ++dy) {
             for (std::int64_t dz = -1; dz <= 1; ++dz) {
@@ -251,12 +259,9 @@ std::shared_ptr<const IslTopology> ConstellationSnapshot::islTopology(
     });
   }
   std::size_t degreeSum = 0;
-  for (const auto& adj : topo->adjacency) degreeSum += adj.size();
-  topo->linkCount = degreeSum / 2;
-
-  MutexLock lock(islMutex_);
-  isl_ = std::move(topo);
-  return isl_;
+  for (const auto& adj : out.adjacency) degreeSum += adj.size();
+  out.linkCount = degreeSum / 2;
+  return out;
 }
 
 std::optional<std::pair<double, int>> ConstellationSnapshot::shortestIslPath(

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numbers>
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/hash.hpp>
@@ -28,6 +30,16 @@ constexpr double kScanStepS = 10.0;
 /// drift bound — absorbs rounding in the bound's own evaluation.
 constexpr double kMarginSlackRad = 1e-6;
 
+/// Warm- and cold-started Kepler positions agree to this fraction of the
+/// orbital radius per component (the TimeSweep / SatelliteSweep contract,
+/// property-tested in tests/test_propagation_batch.cpp).
+constexpr double kWarmColdRelTol = 1e-13;
+
+/// Headroom in probeGuardRad for elevationFrom's own rounding: its
+/// normalize / dot / acos chain is accurate to a few ulps of pi/2
+/// (~1e-15 rad), so 1e-12 rad covers it a thousand times over.
+constexpr double kProbeRoundingSlackRad = 1e-12;
+
 /// Signaling latency of one predictive handover — the expression of the
 /// legacy simulateHandovers path, with the fleet positions coming from the
 /// compiled ephemeris (bit-identical to the scalar positionEci the legacy
@@ -48,6 +60,14 @@ double predictiveLatencyS(const FleetEphemeris& fleet, const Vec3& userEcef,
 
 }  // namespace
 
+/// Candidate-search traffic of bestAtWithUntil: candidates that passed the
+/// mask at the decision time, and how many of them ran a full visibility
+/// search (the rest were ruled out by the one-probe bound).
+struct HandoverSweep::PickCounts {
+  std::size_t aboveMask = 0;
+  std::size_t searches = 0;
+};
+
 /// Per-shard epoch accumulator; folded in shard order after the parallel
 /// phase so every total and the event checksum are thread-count-invariant.
 struct HandoverSweep::ShardStats {
@@ -58,6 +78,7 @@ struct HandoverSweep::ShardStats {
   std::size_t certExpiries = 0;
   std::size_t certHits = 0;
   std::size_t certMisses = 0;
+  PickCounts picks;
   double outageS = 0.0;
   std::uint64_t checksum = kFnvOffsetBasis;
   std::vector<SessionEvent> events;
@@ -71,6 +92,11 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
   if (sats.empty()) {
     throw InvalidArgumentError("HandoverSweep: empty fleet");
   }
+  // Checked here rather than in the first visibility search, which runs
+  // mid-runEpoch after earlier shards may already have changed state.
+  if (!(cfg.horizonS >= 0.0) || std::isinf(cfg.horizonS)) {
+    throw InvalidArgumentError("HandoverSweep: horizon must be finite and >= 0");
+  }
   elements_.reserve(sats.size());
   for (const SatelliteId sid : sats) {
     elements_.push_back(ephemeris.record(sid).elements);
@@ -79,55 +105,83 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
   // Fleet-wide angular-rate bound: the orbital rate peaks at perigee at
   // n * sqrt(1+e) / (1-e)^{3/2}; the observer's ECI direction adds the
   // Earth rotation rate. Scales the epoch index's candidate motion margin.
+  // The perigee/apogee radius extremes size the successor probe's guard.
   double maxOrbital = 0.0;
+  minPerigeeRadiusM_ = std::numeric_limits<double>::infinity();
   for (const OrbitalElements& el : elements_) {
     const double n = el.meanMotionRadPerS();
     const double rate = n * std::sqrt(1.0 + el.eccentricity) /
                         std::pow(1.0 - el.eccentricity, 1.5);
     maxOrbital = std::max(maxOrbital, rate);
+    minPerigeeRadiusM_ = std::min(minPerigeeRadiusM_,
+                                  el.semiMajorAxisM * (1.0 - el.eccentricity));
+    maxApogeeRadiusM_ = std::max(maxApogeeRadiusM_,
+                                 el.semiMajorAxisM * (1.0 + el.eccentricity));
   }
   maxAngularRateRadPerS_ = maxOrbital + wgs84::kEarthRotationRadPerS;
 }
 
-std::uint32_t HandoverSweep::bestAt(const FootprintIndex2& index,
-                                    const FleetEphemeris& fleet,
-                                    const Vec3& siteEcef, const Geodetic& site,
-                                    double tSeconds, std::uint32_t excludeSat,
-                                    SatelliteSweep& sweep,
-                                    std::vector<std::uint32_t>& scratch) const {
-  double bestUntil = -1.0;
-  return bestAtWithUntil(index, fleet, siteEcef, site, tSeconds, excludeSat,
-                         sweep, scratch, bestUntil);
+double HandoverSweep::probeGuardRad(const Vec3& siteEcef) const noexcept {
+  const double clearanceM = minPerigeeRadiusM_ - siteEcef.norm();
+  if (!(clearanceM > 0.0)) return std::numeric_limits<double>::infinity();
+  return kProbeRoundingSlackRad +
+         0.5 * std::numbers::pi * std::sqrt(3.0) * kWarmColdRelTol *
+             maxApogeeRadiusM_ / clearanceM;
 }
 
 std::uint32_t HandoverSweep::bestAtWithUntil(
     const FootprintIndex2& index, const FleetEphemeris& fleet,
     const Vec3& siteEcef, const Geodetic& site, double tSeconds,
     std::uint32_t excludeSat, SatelliteSweep& sweep,
-    std::vector<std::uint32_t>& scratch, double& bestUntil) const {
+    std::vector<std::uint32_t>& scratch, double& bestUntil,
+    PickCounts& counts) const {
   // The planner's bestSatelliteAt, fed from the epoch index: the index's
   // candidate set is a (margined) superset of the per-call index the
   // planner compiles, and both re-test with the exact elevation predicate
   // in ascending order with strict first-wins — so the winner and its
   // visibility end are bit-identical (pinned in tests/test_session.cpp).
+  //
+  // Branch and bound: every candidate's coarse scan walks the same 10 s
+  // grid from tSeconds. If a later candidate is below the mask at the
+  // current winner's last visible grid point G, its own scan crosses at a
+  // grid point <= G, so its visibility end is <= G <= bestUntil and the
+  // strict `>` rule could not pick it — one cold probe at G rules it out
+  // instead of a full search. The probe is a cold Kepler solve while the
+  // scan's evaluation at G is warm-started; probeGuardRad bounds their
+  // disagreement, and a candidate inside that band gets the full search.
+  // Full searches always start from a freshly reset sweep, so their bits
+  // are the unpruned loop's.
   scratch.clear();
   index.forEachGroundCandidate(
       siteEcef, [&](std::uint32_t i) { scratch.push_back(i); });
   std::sort(scratch.begin(), scratch.end());
+  const double probeMaskRad = cfg_.minElevationRad - probeGuardRad(siteEcef);
   std::uint32_t best = kNoSatellite;
   bestUntil = -1.0;
+  double bestGridS = tSeconds;  // the winner's last visible grid point
   for (const std::uint32_t i : scratch) {
     if (i == excludeSat) continue;
     if (elevationFrom(fleet.positionAt(i, tSeconds), site, tSeconds) <
         cfg_.minElevationRad) {
       continue;
     }
+    ++counts.aboveMask;
+    // bestUntil >= bestGridS holds for every winner up to rounding of the
+    // scan's `t - step` bracket; checking it keeps the bound exact.
+    if (best != kNoSatellite && bestUntil >= bestGridS &&
+        elevationFrom(fleet.positionAt(i, bestGridS), site, bestGridS) <
+            probeMaskRad) {
+      continue;
+    }
+    ++counts.searches;
     sweep.reset(elements_[i]);
-    const double until =
-        planner_.visibilityEndWith(sweep, site, tSeconds, cfg_.horizonS);
+    double gridS = tSeconds;
+    const double until = planner_.visibilityEndWith(sweep, site, tSeconds,
+                                                    cfg_.horizonS, &gridS);
     if (until > bestUntil) {
       bestUntil = until;
       best = i;
+      bestGridS = gridS;
     }
   }
   return best;
@@ -154,12 +208,13 @@ void HandoverSweep::seed(SessionTable& table,
               [&](std::size_t begin, std::size_t end) {
                 SatelliteSweep sweep;
                 std::vector<std::uint32_t> scratch;
+                PickCounts picks;  // seeding reports no stats
                 for (std::size_t u = begin; u < end; ++u) {
                   const Vec3 siteEcef = geodeticToEcef(seeds[u].location);
                   if (mode == SeedMode::Planner) {
                     serving[u] = bestAtWithUntil(
                         *index, *fleet, siteEcef, seeds[u].location, t0S,
-                        kNoSatellite, sweep, scratch, untilS[u]);
+                        kNoSatellite, sweep, scratch, untilS[u], picks);
                   } else {
                     const auto closest = index->closestVisible(siteEcef);
                     if (closest) {
@@ -285,7 +340,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
             while (gridS < t1S) {
               found = bestAtWithUntil(*index, *fleet, st.siteEcef[slot],
                                       st.site[slot], gridS, kNoSatellite,
-                                      sweep, scratch, foundUntil);
+                                      sweep, scratch, foundUntil, out.picks);
               if (found != kNoSatellite) break;
               gridS += kScanStepS;
             }
@@ -319,7 +374,7 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           double succUntil = 0.0;
           const std::uint32_t succ = bestAtWithUntil(
               *index, *fleet, st.siteEcef[slot], st.site[slot], endS - 1e-3,
-              from, sweep, scratch, succUntil);
+              from, sweep, scratch, succUntil, out.picks);
           if (succ == kNoSatellite) {
             // Coverage hole: re-acquire on the 10 s grid from the mask
             // crossing (the first probe runs at endS itself).
@@ -416,6 +471,8 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
     total.certExpiries += sh.certExpiries;
     total.certCacheHits += sh.certHits;
     total.certCacheMisses += sh.certMisses;
+    total.candidatesAboveMask += sh.picks.aboveMask;
+    total.visibilitySearches += sh.picks.searches;
     total.outageS += sh.outageS;
     h = fnv1a(h, sh.checksum);
     if (eventsOut != nullptr) {

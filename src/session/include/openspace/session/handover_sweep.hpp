@@ -71,6 +71,11 @@ struct EpochStats {
   std::size_t certExpiries = 0;     ///< Sessions dropped on expired certs.
   std::size_t certCacheHits = 0;
   std::size_t certCacheMisses = 0;
+  /// Successor / re-acquisition candidates above the mask at their pick
+  /// time, and the full visibility searches they cost; the gap is what the
+  /// one-probe bound ruled out. Both are deterministic counts.
+  std::size_t candidatesAboveMask = 0;
+  std::size_t visibilitySearches = 0;
   double outageS = 0.0;             ///< Handover signaling + hole time.
   std::uint64_t eventChecksum = 0;  ///< FNV over events in (shard, pop) order.
 };
@@ -89,7 +94,8 @@ class HandoverSweep {
  public:
   /// Captures the ephemeris fleet (publication order) at construction.
   /// Throws InvalidArgumentError for an elevation mask outside [0, pi/2)
-  /// or an empty fleet.
+  /// (NaN included), a negative, NaN or infinite horizon, or an empty
+  /// fleet.
   HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg);
 
   /// Seed sessions into the table at `t0S`: pick each user's serving
@@ -121,28 +127,34 @@ class HandoverSweep {
   /// epoch index's motion margin.
   double maxAngularRateRadPerS() const noexcept { return maxAngularRateRadPerS_; }
 
+  /// Guard band (rad) of the successor search's one-probe bound at a site:
+  /// a cold-solved elevation this far below the mask is below it in the
+  /// warm-started scan too. Bounds the warm/cold position disagreement
+  /// (1e-13 of the orbital radius per component, so sqrt(3)e-13 of the
+  /// largest apogee radius in norm) seen over the shortest possible
+  /// sightline (smallest perigee radius minus the site's radius) — at
+  /// most pi/2 times that ratio in angle — plus elevationFrom's rounding
+  /// headroom. Infinite (never prune) if a perigee dips below the site.
+  double probeGuardRad(const Vec3& siteEcef) const noexcept;
+
  private:
   struct ShardStats;
+  struct PickCounts;
 
   /// Index of the best satellite at `tSeconds` for the site — candidates
   /// from the margined epoch index, the exact planner predicate and
-  /// first-wins tie order, visibility ends through `sweep`. Bit-identical
-  /// to HandoverPlanner::bestSatelliteAt. kNoSatellite when none visible.
-  std::uint32_t bestAt(const FootprintIndex2& index,
-                       const FleetEphemeris& fleet, const Vec3& siteEcef,
-                       const Geodetic& site, double tSeconds,
-                       std::uint32_t excludeSat, SatelliteSweep& sweep,
-                       std::vector<std::uint32_t>& scratch) const;
-
-  /// bestAt, additionally returning the winner's visibility end through
-  /// `bestUntil` (the new leg's predicted expiry — saves re-searching it).
+  /// first-wins tie order, visibility ends through `sweep` — and its
+  /// visibility end through `bestUntil` (the new leg's predicted expiry).
+  /// Bit-identical to HandoverPlanner::bestSatelliteAt; candidates that
+  /// cannot beat the current winner are ruled out by one elevation probe
+  /// instead of a full search. kNoSatellite when none visible.
   std::uint32_t bestAtWithUntil(const FootprintIndex2& index,
                                 const FleetEphemeris& fleet,
                                 const Vec3& siteEcef, const Geodetic& site,
                                 double tSeconds, std::uint32_t excludeSat,
                                 SatelliteSweep& sweep,
                                 std::vector<std::uint32_t>& scratch,
-                                double& bestUntil) const;
+                                double& bestUntil, PickCounts& counts) const;
 
   const EphemerisService& ephemeris_;
   SweepConfig cfg_;
@@ -150,6 +162,8 @@ class HandoverSweep {
   std::vector<OrbitalElements> elements_;
   std::uint64_t elementsHash_ = 0;
   double maxAngularRateRadPerS_ = 0.0;
+  double minPerigeeRadiusM_ = 0.0;
+  double maxApogeeRadiusM_ = 0.0;
 };
 
 }  // namespace openspace

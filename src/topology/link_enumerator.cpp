@@ -142,11 +142,12 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
       // that survive the range filter are exactly the min(k, in-range)
       // smallest range-pruned candidates — same accepted set, same order.
       // Small fleets scan the pairs here (islTopology's own all-pairs loop
-      // without its sightline test), so the snapshot cache does not retain
-      // an adjacency per snapshot; larger ones take the grid-pruned one.
+      // without its sightline test); larger ones take the grid-pruned
+      // adjacency, built for this call only so no snapshot keeps it.
       const bool scan = s <= kIslAllPairsMaxSats;
-      const auto topo =
-          scan ? nullptr : snap.islTopology(opt_.maxIslRangeM, kNoLosClearanceM);
+      const IslTopology topo =
+          scan ? IslTopology{}
+               : snap.buildIslTopology(opt_.maxIslRangeM, kNoLosClearanceM);
       const auto kMax = static_cast<std::size_t>(std::max(0, opt_.nearestK));
       for (std::size_t i = 0; i < s; ++i) {
         nnCand_.clear();
@@ -157,7 +158,7 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
             if (d <= opt_.maxIslRangeM) nnCand_.emplace_back(d, j);
           }
         } else {
-          for (const auto& [j, d] : topo->adjacency[i]) nnCand_.emplace_back(d, j);
+          for (const auto& [j, d] : topo.adjacency[i]) nnCand_.emplace_back(d, j);
         }
         const std::size_t k = std::min(nnCand_.size(), kMax);
         std::partial_sort(nnCand_.begin(),
@@ -168,9 +169,9 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
       break;
     }
     case IslWiring::AllInRange: {
-      const auto topo = snap.islTopology(opt_.maxIslRangeM);
+      const IslTopology topo = snap.buildIslTopology(opt_.maxIslRangeM);
       for (std::size_t i = 0; i < s; ++i) {
-        for (const auto& [j, d] : topo->adjacency[i]) {
+        for (const auto& [j, d] : topo.adjacency[i]) {
           if (j > i) tryIsl(eci, i, j, out);
         }
       }

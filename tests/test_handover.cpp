@@ -27,6 +27,32 @@ class HandoverTest : public ::testing::Test {
 TEST_F(HandoverTest, ElevationMaskValidation) {
   EXPECT_THROW(HandoverPlanner(eph_, -0.1), InvalidArgumentError);
   EXPECT_THROW(HandoverPlanner(eph_, 1.6), InvalidArgumentError);
+  // NaN fails every comparison; a NaN mask would otherwise make every
+  // visibility search return its start time.
+  EXPECT_THROW(HandoverPlanner(eph_, std::numeric_limits<double>::quiet_NaN()),
+               InvalidArgumentError);
+}
+
+TEST_F(HandoverTest, LastVisibleGridPointTracksTheCoarseScan) {
+  const auto serving = planner_->bestSatelliteAt(user_, 0.0);
+  ASSERT_TRUE(serving.has_value());
+  SatelliteSweep sweep(eph_.record(*serving).elements);
+  double gridS = -1.0;
+  const double until = planner_->visibilityEndWith(sweep, user_, 3.0,
+                                                   3'600.0, &gridS);
+  EXPECT_EQ(until, planner_->visibilityEndS(*serving, user_, 3.0));
+  // The scan crossed: the grid point is the last one before the crossing
+  // (on the grid anchored at fromS, at most one step before the end) and
+  // the satellite is still above the mask there.
+  ASSERT_LT(until, 3.0 + 3'600.0);
+  EXPECT_LE(gridS, until);
+  EXPECT_GT(gridS, until - 10.0);
+  EXPECT_GE(elevationFrom(eph_.positionEci(*serving, gridS), user_, gridS),
+            planner_->minElevationRad());
+  // A horizon the pass outlasts: the grid point is the horizon end.
+  SatelliteSweep again(eph_.record(*serving).elements);
+  EXPECT_EQ(planner_->visibilityEndWith(again, user_, 3.0, 20.0, &gridS), 23.0);
+  EXPECT_EQ(gridS, 23.0);
 }
 
 TEST_F(HandoverTest, VisibilityEndMatchesContactWindows) {

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <numbers>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +23,9 @@
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/handover/handover.hpp>
+#include <openspace/orbit/propagation_batch.hpp>
+#include <openspace/orbit/shells.hpp>
+#include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
 #include <openspace/session/session_table.hpp>
@@ -45,8 +50,9 @@ constexpr double kNeverExpiresS = 4.0e9;
 
 class SessionSweepTest : public ::testing::Test {
  protected:
-  SessionSweepTest() {
-    for (const auto& el : makeWalkerStar(iridiumConfig())) {
+  SessionSweepTest() : SessionSweepTest(makeWalkerStar(iridiumConfig())) {}
+  explicit SessionSweepTest(const std::vector<OrbitalElements>& fleet) {
+    for (const auto& el : fleet) {
       eph_.publish(ProviderId{1}, el);
     }
     planner_ = std::make_unique<HandoverPlanner>(eph_, mask_);
@@ -390,12 +396,238 @@ TEST_F(SessionSweepTest, TableValidatesConstruction) {
 TEST_F(SessionSweepTest, SweepValidatesConstruction) {
   EphemerisService empty;
   EXPECT_THROW(HandoverSweep(empty, cfg_), InvalidArgumentError);
-  SweepConfig bad = cfg_;
-  bad.minElevationRad = -0.1;
-  EXPECT_THROW(HandoverSweep(eph_, bad), InvalidArgumentError);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double mask : {-0.1, kNaN, std::numbers::pi / 2.0}) {
+    SweepConfig bad = cfg_;
+    bad.minElevationRad = mask;
+    EXPECT_THROW(HandoverSweep(eph_, bad), InvalidArgumentError) << mask;
+  }
+  // A bad horizon fails at construction, not in the middle of runEpoch.
+  for (const double horizon : {-1.0, kNaN, kInf}) {
+    SweepConfig bad = cfg_;
+    bad.horizonS = horizon;
+    EXPECT_THROW(HandoverSweep(eph_, bad), InvalidArgumentError) << horizon;
+  }
+  SweepConfig zeroHorizon = cfg_;
+  zeroHorizon.horizonS = 0.0;
+  EXPECT_NO_THROW(HandoverSweep(eph_, zeroHorizon));
   const HandoverSweep sweep(eph_, cfg_);
   EXPECT_EQ(sweep.fleet().size(), eph_.satellites().size());
   EXPECT_GT(sweep.maxAngularRateRadPerS(), 0.0);
+}
+
+// --- dense fleet: the successor search's one-probe bound at work ----------
+
+/// bench_scale's 1k tier: a 720-sat 53 deg Delta shell stacked with a
+/// 360-sat polar Star shell. Mid-latitude sites see 20+ satellites above
+/// the mask, so most candidates of a pick are ruled out by the probe at
+/// the winner's last visible grid point — the Iridium fixture above, with
+/// 1-3 candidates per pick, barely exercises that path.
+std::vector<OrbitalElements> denseFleet(double eccentricity = 0.0) {
+  MultiShellConfig cfg;
+  ShellSpec delta;
+  delta.kind = ShellKind::Delta;
+  delta.walker = {720, 36, 17, km(550.0), deg2rad(53.0)};
+  ShellSpec star;
+  star.kind = ShellKind::Star;
+  star.walker = {360, 30, 1, km(560.0), deg2rad(86.4)};
+  cfg.shells = {delta, star};
+  std::vector<OrbitalElements> fleet = MultiShellFleet(cfg).elements();
+  for (OrbitalElements& el : fleet) el.eccentricity = eccentricity;
+  return fleet;
+}
+
+class DenseSessionSweepTest : public SessionSweepTest {
+ protected:
+  DenseSessionSweepTest() : SessionSweepTest(denseFleet()) {}
+  explicit DenseSessionSweepTest(double eccentricity)
+      : SessionSweepTest(denseFleet(eccentricity)) {}
+
+  /// Expect sweep == simulateHandovers on every dense site for each epoch
+  /// partition of [0, T], and the probe to rule out most candidates.
+  void expectMatchesLegacyForPartitions(
+      double T, const std::vector<std::vector<double>>& partitions) const {
+    std::vector<HandoverTimeline> legacy;
+    for (const Geodetic& site : denseSites_) {
+      legacy.push_back(
+          simulateHandovers(*planner_, site, 0.0, T, HandoverMode::Predictive));
+    }
+    for (const auto& partition : partitions) {
+      const SweepRun run = runSweep(denseSites_, partition);
+      std::size_t aboveMask = 0;
+      std::size_t searches = 0;
+      for (const EpochStats& st : run.stats) {
+        aboveMask += st.candidatesAboveMask;
+        searches += st.visibilitySearches;
+      }
+      EXPECT_GT(searches, 0u);
+      EXPECT_GT(aboveMask, 4 * searches);
+      std::size_t events = 0;
+      for (std::size_t i = 0; i < denseSites_.size(); ++i) {
+        SCOPED_TRACE("site " + std::to_string(i) + " partition size " +
+                     std::to_string(partition.size()));
+        expectMatchesLegacy(eventsOf(run.events, i + 1), legacy[i]);
+        events += legacy[i].events.size();
+      }
+      EXPECT_GE(events, 2 * denseSites_.size());
+    }
+  }
+
+  /// Satellites above the mask from `site` at `t` (brute scan).
+  std::size_t visibleCount(const Geodetic& site, double t) const {
+    std::size_t n = 0;
+    for (const SatelliteId sid : eph_.satellites()) {
+      if (elevationFrom(eph_.positionEci(sid, t), site, t) >= mask_) ++n;
+    }
+    return n;
+  }
+
+  const std::vector<Geodetic> denseSites_ = {
+      Geodetic::fromDegrees(40.44, -79.99),   // Pittsburgh
+      Geodetic::fromDegrees(51.5, -0.13),     // London
+      Geodetic::fromDegrees(-33.87, 151.21),  // Sydney
+      Geodetic::fromDegrees(47.6, -122.3),    // Seattle
+      Geodetic::fromDegrees(-45.0, 170.0),    // South Island
+      Geodetic::fromDegrees(39.9, 116.4),     // Beijing
+      Geodetic::fromDegrees(55.75, 37.62),    // Moscow
+      Geodetic::fromDegrees(-37.8, 144.96),   // Melbourne
+      Geodetic::fromDegrees(40.4, -3.7),      // Madrid
+      Geodetic::fromDegrees(30.04, 31.24),    // Cairo
+  };
+};
+
+/// The dense fleet on slightly eccentric orbits: warm-started and cold
+/// Kepler solves then differ in the last bits, so the probe's guard band
+/// and the fresh reset before each full search carry real weight.
+class EccentricDenseSessionSweepTest : public DenseSessionSweepTest {
+ protected:
+  EccentricDenseSessionSweepTest() : DenseSessionSweepTest(0.002) {}
+};
+
+TEST_F(DenseSessionSweepTest, FixtureIsDense) {
+  EXPECT_GE(eph_.satellites().size(), 1'000u);
+  for (std::size_t u = 0; u < denseSites_.size(); ++u) {
+    EXPECT_GE(visibleCount(denseSites_[u], 0.0), 20u) << "site " << u;
+  }
+}
+
+TEST_F(DenseSessionSweepTest, EventsMatchLegacyForAnyEpochPartition) {
+  expectMatchesLegacyForPartitions(
+      1'800.0, {{1'800.0},
+                {15.0, 400.0, 401.0, 1'800.0},
+                {137.0, 450.0, 1'000.0, 1'337.5, 1'800.0}});
+}
+
+TEST_F(EccentricDenseSessionSweepTest, EventsMatchLegacyForAnyEpochPartition) {
+  expectMatchesLegacyForPartitions(1'800.0,
+                                   {{1'800.0}, {300.0, 900.0, 1'800.0}});
+}
+
+TEST_F(DenseSessionSweepTest, SerialAndParallelSweepsAreBitIdentical) {
+  ThreadCountGuard guard;
+  const std::vector<double> boundaries = {300.0, 900.0, 1'800.0};
+  setParallelThreadCount(1);
+  const SweepRun serial = runSweep(denseSites_, boundaries);
+  setParallelThreadCount(4);
+  const SweepRun parallel = runSweep(denseSites_, boundaries);
+  EXPECT_EQ(parallel.finalChecksum, serial.finalChecksum);
+  ASSERT_EQ(parallel.stats.size(), serial.stats.size());
+  for (std::size_t e = 0; e < serial.stats.size(); ++e) {
+    EXPECT_EQ(parallel.stats[e].eventChecksum, serial.stats[e].eventChecksum) << e;
+    EXPECT_EQ(parallel.stats[e].candidatesAboveMask,
+              serial.stats[e].candidatesAboveMask) << e;
+    EXPECT_EQ(parallel.stats[e].visibilitySearches,
+              serial.stats[e].visibilitySearches) << e;
+    EXPECT_EQ(bitsOf(parallel.stats[e].outageS), bitsOf(serial.stats[e].outageS));
+  }
+  EXPECT_EQ(parallel.events.size(), serial.events.size());
+}
+
+TEST_F(DenseSessionSweepTest, HorizonTieGoesToTheLowestIndex) {
+  // With a 30 s horizon many candidates stay visible to fromS + horizonS
+  // and tie at exactly that end; strict first-wins keeps the lowest index.
+  cfg_.horizonS = 30.0;
+  for (std::size_t u = 0; u < denseSites_.size(); ++u) {
+    const Geodetic& site = denseSites_[u];
+    std::vector<std::uint32_t> tied;
+    const auto& sats = eph_.satellites();
+    for (std::size_t i = 0; i < sats.size(); ++i) {
+      if (elevationFrom(eph_.positionEci(sats[i], 0.0), site, 0.0) < mask_) {
+        continue;
+      }
+      if (planner_->visibilityEndS(sats[i], site, 0.0, cfg_.horizonS) ==
+          cfg_.horizonS) {
+        tied.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    ASSERT_GE(tied.size(), 2u) << u;
+    SessionTable table(sats.size());
+    const HandoverSweep sweep(eph_, cfg_);
+    sweep.seed(table, seedsFor({site}), 0.0, SeedMode::Planner);
+    const auto view = table.find(1);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->servingSat, tied.front()) << u;
+    EXPECT_EQ(view->nextEventS, cfg_.horizonS) << u;
+  }
+}
+
+TEST(HandoverSweepProbe, GuardCoversWarmColdDisagreement) {
+  // The probe at the winner's last visible grid point is a cold Kepler
+  // solve; the full scan reaches that point warm-started along the 10 s
+  // grid. On eccentric orbits the two differ in the last bits, and the
+  // guard band must cover the elevation gap at every grid point.
+  EphemerisService eph;
+  const double eccs[] = {0.001, 0.02, 0.1, 0.25};
+  for (int k = 0; k < 16; ++k) {
+    OrbitalElements el;
+    el.eccentricity = eccs[k % 4];
+    el.semiMajorAxisM = (7'000.0 + 900.0 * k) * 1e3;
+    el.inclinationRad = deg2rad(30.0 + 4.0 * k);
+    el.raanRad = deg2rad(23.0 * k);
+    el.argPerigeeRad = deg2rad(41.0 * k);
+    el.meanAnomalyAtEpochRad = deg2rad(17.0 * k);
+    eph.publish(ProviderId{1}, el);
+  }
+  SweepConfig cfg;
+  cfg.minElevationRad = deg2rad(10.0);
+  const HandoverSweep sweep(eph, cfg);
+  const std::vector<Geodetic> sites = {Geodetic::fromDegrees(40.44, -79.99),
+                                       Geodetic::fromDegrees(-1.29, 36.82),
+                                       Geodetic::fromDegrees(78.22, 15.63)};
+  double worstGap = 0.0;
+  double worstSlack = std::numeric_limits<double>::infinity();
+  for (const Geodetic& site : sites) {
+    const double guard = sweep.probeGuardRad(geodeticToEcef(site));
+    ASSERT_GT(guard, 0.0);
+    ASSERT_TRUE(std::isfinite(guard));
+    for (const SatelliteId sid : eph.satellites()) {
+      const OrbitalElements& el = eph.record(sid).elements;
+      SatelliteSweep warm(el);
+      const double fromS = 123.0;
+      warm.positionEciAt(fromS);
+      for (double t = fromS + 10.0; t < fromS + 3'600.0; t += 10.0) {
+        const double gap =
+            std::abs(elevationFrom(warm.positionEciAt(t), site, t) -
+                     elevationFrom(positionEci(el, t), site, t));
+        worstGap = std::max(worstGap, gap);
+        worstSlack = std::min(worstSlack, guard - gap);
+      }
+    }
+  }
+  EXPECT_GT(worstGap, 0.0);  // the disagreement the guard exists for
+  EXPECT_GT(worstSlack, 0.0) << "worst gap " << worstGap;
+}
+
+TEST_F(DenseSessionSweepTest, GuardIsTinyOnLeoAndInfiniteAbovePerigee) {
+  // The guard covers last-bit disagreement only, so on a LEO fleet it
+  // sits far below any elevation change over a pass.
+  const HandoverSweep sweep(eph_, cfg_);
+  for (const Geodetic& site : denseSites_) {
+    EXPECT_LT(sweep.probeGuardRad(geodeticToEcef(site)), 1e-10);
+  }
+  // A site above the lowest perigee has no finite bound: never prune.
+  EXPECT_TRUE(std::isinf(sweep.probeGuardRad(Vec3{8.0e6, 0.0, 0.0})));
 }
 
 TEST(SessionStateNames, AllNamed) {

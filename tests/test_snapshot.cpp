@@ -313,6 +313,30 @@ TEST(Snapshot, IslTopologyRejectsNaNRange) {
   const ConstellationSnapshot snap(sats, 0.0);
   EXPECT_THROW((void)snap.islTopology(std::numeric_limits<double>::quiet_NaN()),
                InvalidArgumentError);
+  EXPECT_THROW(
+      (void)snap.buildIslTopology(std::numeric_limits<double>::quiet_NaN()),
+      InvalidArgumentError);
+  EXPECT_THROW((void)snap.buildIslTopology(0.0), InvalidArgumentError);
+}
+
+TEST(Snapshot, UncachedAdjacencyEqualsTheCachedOne) {
+  // buildIslTopology is the builder islTopology caches: same adjacency on
+  // both sides of the all-pairs / grid crossover, and building one leaves
+  // the snapshot's cache alone.
+  for (const int n : {48, 300}) {
+    const auto sats = testConstellation(n, 5);
+    const ConstellationSnapshot snap(sats, 7.0);
+    const double maxRange = 2'500'000.0;
+    const auto cached = snap.islTopology(maxRange);
+    const IslTopology fresh = snap.buildIslTopology(maxRange);
+    EXPECT_EQ(fresh.adjacency, cached->adjacency) << n;
+    EXPECT_EQ(fresh.linkCount, cached->linkCount) << n;
+    EXPECT_EQ(fresh.maxRangeM, cached->maxRangeM) << n;
+    EXPECT_EQ(fresh.losClearanceM, cached->losClearanceM) << n;
+    const IslTopology other = snap.buildIslTopology(maxRange * 2, 0.0);
+    EXPECT_EQ(other.maxRangeM, maxRange * 2);
+    EXPECT_EQ(snap.islTopology(maxRange).get(), cached.get()) << n;
+  }
 }
 
 TEST(Snapshot, MultiShellFleetRejectsNaNRanges) {

@@ -36,15 +36,19 @@ reference numbers in bench/baseline/. Two formats are understood:
   are re-asserted exactly against the baseline at equal scale, and the
   predictive scheme's outage reduction over re-association is checked
   against its 25x floor;
-* the custom session record ("bench": "session") — the sweep==legacy and
-  serial==parallel checksum gates are re-asserted, the cache-consults-
-  every-handover invariant is re-checked, sweep wall times are compared,
-  and the epoch sweep's speedup over the per-user planner scan is checked
-  against its 10x floor (at meaningful scale).
+* the custom session record ("bench": "session") — per tier (iridium,
+  dense) the sweep==legacy and serial==parallel checksum gates are
+  re-asserted, the cache-consults-every-handover invariant is re-checked,
+  sweep wall times are compared, the Iridium epoch sweep's speedup over
+  the per-user planner scan is checked against its 10x floor (at
+  meaningful scale), and the dense tier's search_prune_ratio (candidates
+  above the mask per full visibility search) is held to a 3.0 floor.
 
-CI hardware varies run to run, so this is a smoke alarm, not a gate: every
-regression beyond the threshold prints a GitHub ::warning:: annotation and
-the script still exits 0. The committed baselines document the numbers a
+CI hardware varies run to run, so wall times are a smoke alarm, not a
+gate: every regression beyond the threshold prints a GitHub ::warning::
+annotation. The one exception is a floor on deterministic counts (the
+session prune ratio): those do not depend on the machine, so a miss
+prints ::error:: and the script exits 1. Otherwise it exits 0. The committed baselines document the numbers a
 known machine produced; refresh them (tools/bench_compare.py --help shows
 the layout) whenever an intentional perf change lands.
 """
@@ -62,6 +66,17 @@ DEFAULT_THRESHOLD = 1.5
 
 def warn(msg: str) -> None:
     print(f"::warning::{msg}")
+
+
+# Hard-gate violations: deterministic counts that do not depend on the
+# machine, so a miss is a defect rather than noise. Any entry makes the
+# run exit non-zero.
+failures: list[str] = []
+
+
+def fail(msg: str) -> None:
+    print(f"::error::{msg}")
+    failures.append(msg)
 
 
 def load(path: Path):
@@ -363,55 +378,85 @@ def compare_handover(current, baseline, threshold: float) -> int:
     return warned
 
 
+# Floor on the dense session tier's candidates-above-mask per full
+# visibility search. Both are deterministic counts, so unlike the
+# wall-time floors this one is machine-independent and fails the run.
+SESSION_DENSE_PRUNE_FLOOR = 3.0
+
+
 def compare_session(current, baseline, threshold: float) -> int:
     warned = 0
     if not current.get("checksums_match", False):
         warn("session: sweep/legacy timeline or serial/parallel checksums "
              "diverged")
         warned += 1
-    # Every handover consults the per-shard certificate cache exactly once
-    # (hit or miss); a gap means the cache was silently bypassed.
-    handovers = current.get("handovers")
-    hits = current.get("cert_cache_hits")
-    misses = current.get("cert_cache_misses")
-    if None not in (handovers, hits, misses) and hits + misses != handovers:
-        warn(f"session: cert cache consulted {hits + misses} times for "
-             f"{handovers} handovers — the cache is being bypassed")
-        warned += 1
-    if current.get("scale") != baseline.get("scale"):
+    same_scale = current.get("scale") == baseline.get("scale")
+    if not same_scale:
         # CI runs the bench at a reduced user count; absolute times are
-        # incomparable then, but the speedup floor below still applies.
+        # incomparable then, but the floors below still apply.
         print(f"  (scale {current.get('scale')} vs baseline "
               f"{baseline.get('scale')}: skipping wall-time comparison)")
-    else:
-        for key in ("seed_s", "sweep_serial_s", "sweep_parallel_s",
-                    "baseline_probe_s"):
-            cur_t = current.get(key)
-            base_t = baseline.get(key)
-            if cur_t is None or base_t is None or base_t <= 0:
-                continue
-            ratio = cur_t / base_t
-            marker = " REGRESSION?" if ratio > threshold else ""
-            print(f"  {key}: {cur_t:.4f}s vs baseline {base_t:.4f}s "
-                  f"({ratio:.2f}x){marker}")
-            if ratio > threshold:
-                warn(f"session {key}: {cur_t:.4f}s vs baseline "
-                     f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-                warned += 1
-    # The sweep's reason to exist: the >= 10x headline over the per-user
-    # planner scan. The floor only holds once per-epoch fixed costs (index
-    # compile, heap walk) amortize over enough users, so skip it on heavily
-    # reduced lanes.
-    speedup = current.get("speedup_vs_planner")
-    if speedup is not None:
-        floor = 10.0 if current.get("scale", 1.0) >= 0.2 else None
-        floor_txt = f" (floor {floor:.1f}x)" if floor \
-            else " (no floor at this scale)"
-        print(f"  speedup_vs_planner: {speedup:.2f}x{floor_txt}")
-        if floor is not None and speedup < floor:
-            warn(f"session speedup_vs_planner: {speedup:.2f}x below the "
-                 f"{floor:.1f}x floor")
+    base_tiers = {t.get("name"): t for t in baseline.get("tiers", [])}
+    if "dense" not in {t.get("name") for t in current.get("tiers", [])}:
+        fail("session: the record has no dense tier, so its prune-ratio "
+             "floor cannot be checked")
+    for tier in current.get("tiers", []):
+        name = tier.get("name")
+        # Every handover consults the per-shard certificate cache exactly
+        # once (hit or miss); a gap means the cache was silently bypassed.
+        handovers = tier.get("handovers")
+        hits = tier.get("cert_cache_hits")
+        misses = tier.get("cert_cache_misses")
+        if None not in (handovers, hits, misses) and \
+                hits + misses != handovers:
+            warn(f"session {name}: cert cache consulted {hits + misses} "
+                 f"times for {handovers} handovers — the cache is being "
+                 f"bypassed")
             warned += 1
+        base = base_tiers.get(name)
+        if same_scale and base is not None:
+            for key in ("seed_s", "sweep_serial_s", "sweep_parallel_s",
+                        "baseline_probe_s"):
+                cur_t = tier.get(key)
+                base_t = base.get(key)
+                if cur_t is None or base_t is None or base_t <= 0:
+                    continue
+                ratio = cur_t / base_t
+                marker = " REGRESSION?" if ratio > threshold else ""
+                print(f"  {name} {key}: {cur_t:.4f}s vs baseline "
+                      f"{base_t:.4f}s ({ratio:.2f}x){marker}")
+                if ratio > threshold:
+                    warn(f"session {name} {key}: {cur_t:.4f}s vs baseline "
+                         f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
+                    warned += 1
+        # The sweep's reason to exist: the >= 10x headline over the
+        # per-user planner scan on the Iridium tier. The floor only holds
+        # once per-epoch fixed costs (index compile, heap walk) amortize
+        # over enough users, so skip it on heavily reduced lanes.
+        speedup = tier.get("speedup_vs_planner")
+        if speedup is not None:
+            floor = 10.0 if name == "iridium" and \
+                current.get("scale", 1.0) >= 0.2 else None
+            floor_txt = f" (floor {floor:.1f}x)" if floor \
+                else " (no floor here)"
+            print(f"  {name} speedup_vs_planner: {speedup:.2f}x{floor_txt}")
+            if floor is not None and speedup < floor:
+                warn(f"session {name} speedup_vs_planner: {speedup:.2f}x "
+                     f"below the {floor:.1f}x floor")
+                warned += 1
+        # The successor search's one-probe bound: on the dense tier most
+        # above-mask candidates must skip the full visibility search.
+        above = tier.get("candidates_above_mask")
+        searches = tier.get("visibility_searches")
+        if above is not None and searches is not None:
+            if searches > above:
+                fail(f"session {name}: {searches} full visibility searches "
+                     f"for {above} candidates above the mask")
+            ratio = above / searches if searches else 0.0
+            print(f"  {name} search_prune_ratio: {ratio:.2f}")
+            if name == "dense" and ratio < SESSION_DENSE_PRUNE_FLOOR:
+                fail(f"session dense search_prune_ratio: {ratio:.2f} "
+                     f"below the {SESSION_DENSE_PRUNE_FLOOR:.1f} floor")
     return warned
 
 
@@ -572,8 +617,11 @@ def main() -> int:
             warned += compare_google_benchmark(current, baseline,
                                                args.threshold)
 
-    print(f"bench_compare: {warned} warning(s) (informational only)")
-    return 0  # warn-only by design: CI hardware is too noisy to gate on
+    print(f"bench_compare: {warned} warning(s) (informational only), "
+          f"{len(failures)} hard failure(s)")
+    # Wall-time comparisons stay warn-only (CI hardware is too noisy to
+    # gate on); only the machine-independent count floors fail the run.
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
