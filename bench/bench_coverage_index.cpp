@@ -5,7 +5,7 @@
 //  * kernel66 / kernel1000 — the headline: the visibility query kernel of a
 //    fig2c-style Monte-Carlo sweep, isolated from the RNG. The same
 //    pre-drawn unit-sphere sample array is pushed through the brute
-//    orbit-layer FootprintIndex::anyCovers (early-exit scan over every
+//    FootprintIndex::anyCovers of spec/ (early-exit scan over every
 //    footprint) and through FootprintIndex2::anyCovers (cell-grid index
 //    with whole-cell cover certificates) at each snapshot of the time
 //    grid, folding every boolean into a checksum. End-to-end MC timing is
@@ -43,6 +43,7 @@
 #include <openspace/coverage/legacy.hpp>
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/orbit/footprint_index.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 

@@ -2,7 +2,8 @@
 //
 // Private to the coverage module (not installed under include/). Both the
 // indexed estimators (coverage.cpp) and the brute executable spec
-// (legacy.cpp) draw their per-chunk RNG streams from these exact
+// (spec/coverage/legacy.cpp, which adds this directory to its private
+// include path) draw their per-chunk RNG streams from these exact
 // functions: the bit-for-bit contract between the two paths depends on the
 // chunk size and the seed derivation being literally the same code.
 #pragma once

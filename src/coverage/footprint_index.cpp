@@ -6,11 +6,11 @@
 #include <limits>
 #include <list>
 #include <numbers>
+#include <numeric>
 #include <unordered_map>
 
 #include <openspace/core/assert.hpp>
 #include <openspace/core/thread_annotations.hpp>
-#include <openspace/geo/error.hpp>
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
@@ -31,24 +31,6 @@ constexpr double kCapPadRad = 1e-6;
 /// WGS-84 sites the exact elevation predicate sees. 1e-3 rad ~ 6.4 km of
 /// ground range, still only a few percent of a LEO footprint radius.
 constexpr double kGroundPadRad = 1e-3;
-
-/// Largest Earth-central angle at which an observer at `obsRadiusM` can see
-/// a satellite at `satRadiusM` with elevation >= mask: from the sine rule
-/// in the (center, observer, satellite) triangle,
-///   lambda(r_o) = acos((r_o / r_s) cos e) - e,
-/// which is strictly decreasing in r_o — so evaluating at the *smallest*
-/// supported observer radius upper-bounds every supported site.
-double groundVisibilityHalfAngleRad(double satRadiusM, double minElevationRad) {
-  if (satRadiusM <= FootprintIndex2::kMaxObserverRadiusM) {
-    // Satellite at or below possible observer radii (degenerate inputs,
-    // negative altitudes): no useful bound — register everywhere.
-    return std::numbers::pi;
-  }
-  const double arg = (FootprintIndex2::kMinObserverRadiusM / satRadiusM) *
-                     std::cos(minElevationRad);
-  return std::acos(std::clamp(arg, -1.0, 1.0)) - minElevationRad +
-         kGroundPadRad;
-}
 
 /// Certificate eligibility ceiling on the exact cap half-angle, radians.
 /// The corner test below proves "cap covers the whole cell" from the four
@@ -72,17 +54,26 @@ constexpr double kCertCosPad = 1e-6;
 
 }  // namespace
 
+double FootprintIndex2::groundVisibilityHalfAngleRad(double satRadiusM,
+                                                     double minElevationRad) {
+  if (satRadiusM <= kMaxObserverRadiusM) {
+    // Satellite at or below possible observer radii (degenerate inputs,
+    // negative altitudes): no useful bound — register everywhere.
+    return std::numbers::pi;
+  }
+  // Strictly decreasing in the observer radius, so evaluating at the
+  // *smallest* supported one upper-bounds every supported site.
+  const double arg =
+      (kMinObserverRadiusM / satRadiusM) * std::cos(minElevationRad);
+  return std::acos(std::clamp(arg, -1.0, 1.0)) - minElevationRad +
+         kGroundPadRad;
+}
+
 FootprintIndex2::FootprintIndex2(
     std::shared_ptr<const ConstellationSnapshot> snapshot,
-    double minElevationRad, double motionMarginRad)
-    : snapshot_(std::move(snapshot)),
-      minElevationRad_(minElevationRad),
-      motionMarginRad_(motionMarginRad) {
+    double minElevationRad)
+    : snapshot_(std::move(snapshot)), minElevationRad_(minElevationRad) {
   OPENSPACE_ASSERT(snapshot_ != nullptr, "footprint index needs a snapshot");
-  if (!(motionMarginRad >= 0.0) || std::isinf(motionMarginRad)) {
-    throw InvalidArgumentError(
-        "FootprintIndex2: motion margin must be finite and >= 0");
-  }
   const ConstellationSnapshot& snap = *snapshot_;
   const std::size_t n = snap.size();
   // ECEF ground queries rotate into the ECI frame of the cap centers: z is
@@ -99,7 +90,7 @@ FootprintIndex2::FootprintIndex2(
   halfAngle_.resize(n);
   std::vector<SphericalCapIndex::Cap> caps(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Token-identical to the orbit-layer FootprintIndex construction: these
+    // Token-identical to the brute FootprintIndex construction: these
     // three expressions define the exact cap predicate covers() applies.
     direction_[i] = snap.eci(i).normalized();
     halfAngle_[i] = footprintHalfAngleRad(std::max(snap.altitudeM(i), 1.0),
@@ -108,22 +99,12 @@ FootprintIndex2::FootprintIndex2(
     maxHalfAngleRad_ = std::max(maxHalfAngleRad_, halfAngle_[i]);
     // Registered (pruning) radius: wide enough for both exact predicates —
     // the cap test on unit surface points and the elevation test from any
-    // supported observer radius. With a motion margin the ground radius is
-    // evaluated at the orbit's apogee (lambda grows with the satellite
-    // radius, so the apogee bound holds at every point of the pass) and
-    // widened by the margin itself, covering the angular drift of both the
-    // satellite and the observer over the margin's time window.
-    double satRadiusM = snap.eci(i).norm();
-    if (motionMarginRad > 0.0) {
-      const OrbitalElements& el = snap.elements()[i];
-      satRadiusM = std::max(
-          satRadiusM, el.semiMajorAxisM * (1.0 + el.eccentricity));
-    }
+    // supported observer radius.
     caps[i].unitCenter = direction_[i];
     caps[i].halfAngleRad =
         std::max(halfAngle_[i] + kCapPadRad,
-                 groundVisibilityHalfAngleRad(satRadiusM, minElevationRad)) +
-        motionMarginRad;
+                 groundVisibilityHalfAngleRad(snap.eci(i).norm(),
+                                              minElevationRad));
   }
   capIndex_ = SphericalCapIndex(caps);
 
@@ -250,6 +231,17 @@ std::optional<std::size_t> FootprintIndex2::closestVisible(
   return closestVisible(geodeticToEcef(site));
 }
 
+void FootprintIndex2::groundCandidates(const Vec3& siteEcef, double driftRad,
+                                       std::vector<std::uint32_t>& out) const {
+  const std::optional<Vec3> unitEci = siteUnitEci(siteEcef);
+  if (!unitEci) {
+    out.resize(size());
+    std::iota(out.begin(), out.end(), 0u);
+    return;
+  }
+  capIndex_.discCandidates(*unitEci, driftRad, out);
+}
+
 void FootprintIndex2::overlapCandidates(
     std::size_t i, std::vector<std::uint32_t>& out) const {
   capIndex_.neighborhoodCandidates(
@@ -272,14 +264,12 @@ class FootprintIndexCache {
  public:
   std::shared_ptr<const FootprintIndex2> at(
       std::shared_ptr<const ConstellationSnapshot> snapshot,
-      double minElevationRad, double motionMarginRad)
-      OPENSPACE_EXCLUDES(mutex_) {
+      double minElevationRad) OPENSPACE_EXCLUDES(mutex_) {
     Key key{};
     key.hash = snapshot->elementsHash();
     key.count = snapshot->size();
     key.tMicros = std::llround(snapshot->timeSeconds() * 1e6);
     std::memcpy(&key.maskBits, &minElevationRad, sizeof(key.maskBits));
-    std::memcpy(&key.marginBits, &motionMarginRad, sizeof(key.marginBits));
     {
       MutexLock lock(mutex_);
       const auto it = index_.find(key);
@@ -289,7 +279,7 @@ class FootprintIndexCache {
       }
     }
     auto built = std::make_shared<const FootprintIndex2>(
-        std::move(snapshot), minElevationRad, motionMarginRad);
+        std::move(snapshot), minElevationRad);
     MutexLock lock(mutex_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
@@ -338,7 +328,6 @@ class FootprintIndexCache {
     std::uint64_t count;
     std::int64_t tMicros;
     std::uint64_t maskBits;
-    std::uint64_t marginBits;
     bool operator==(const Key&) const noexcept = default;
   };
   struct KeyHash {
@@ -347,7 +336,6 @@ class FootprintIndexCache {
       h ^= k.count * 0x9E3779B97F4A7C15ull;
       h ^= static_cast<std::uint64_t>(k.tMicros) * 0xD1B54A32D192ED03ull;
       h ^= k.maskBits * 0x2545F4914F6CDD1Dull;
-      h ^= k.marginBits * 0x94D049BB133111EBull;
       h ^= h >> 32;
       return static_cast<std::size_t>(h);
     }
@@ -374,15 +362,9 @@ class FootprintIndexCache {
 std::shared_ptr<const FootprintIndex2> FootprintIndex2::compiled(
     std::shared_ptr<const ConstellationSnapshot> snapshot,
     double minElevationRad) {
-  return compiled(std::move(snapshot), minElevationRad, 0.0);
-}
-
-std::shared_ptr<const FootprintIndex2> FootprintIndex2::compiled(
-    std::shared_ptr<const ConstellationSnapshot> snapshot,
-    double minElevationRad, double motionMarginRad) {
   OPENSPACE_ASSERT(snapshot != nullptr, "compiled() needs a snapshot");
   return FootprintIndexCache::global().at(std::move(snapshot),
-                                          minElevationRad, motionMarginRad);
+                                          minElevationRad);
 }
 
 std::size_t FootprintIndex2::setCompiledCacheByteBudget(std::size_t bytes) {

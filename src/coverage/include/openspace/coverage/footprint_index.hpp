@@ -2,11 +2,12 @@
 // accelerator.
 //
 // FootprintIndex2 compiles one constellation snapshot + elevation mask into
-// (a) the same per-satellite spherical-cap arrays the original orbit-layer
-// FootprintIndex holds — direction, half-angle, cos(half-angle), built with
-// the identical expressions so `covers()` is bit-for-bit the brute test —
-// and (b) a SphericalCapIndex over conservatively padded caps that answers
-// "which satellites could see this point" in O(candidates) instead of O(N).
+// (a) the same per-satellite spherical-cap arrays the brute FootprintIndex
+// of the executable spec holds (spec/, openspace/orbit/footprint_index.hpp)
+// — direction, half-angle, cos(half-angle), built with the identical
+// expressions so `covers()` is bit-for-bit the brute test — and (b) a
+// SphericalCapIndex over conservatively padded caps that answers "which
+// satellites could see this point" in O(candidates) instead of O(N).
 //
 // Two query families share the one index:
 //  * surface-sample queries (Monte-Carlo coverage): unit ECI directions
@@ -17,14 +18,18 @@
 //    largest central angle any supported observer radius can see
 //    (kMinObserverRadiusM at the mask), so the candidate set is a superset
 //    for both predicates; sites outside the supported radius range fall
-//    back to a full scan.
+//    back to a full scan. groundCandidates widens the query by a drift
+//    radius, so one index of the instant t also serves event times near t
+//    (the session-plane epoch sweep reads the coverage stage's index this
+//    way instead of compiling its own).
 //
 // Determinism contract (DESIGN.md §10): the index only *prunes* — every
 // candidate is re-tested with the exact brute predicate, ties are broken
 // by satellite index exactly as the brute ascending scans do, and the RNG
 // draw sequence of the Monte-Carlo estimators is untouched. The brute
-// implementations survive in openspace::legacy (coverage/legacy.hpp) as the
-// executable spec the indexed paths are property-tested against.
+// implementations survive in openspace::legacy (coverage/legacy.hpp, built
+// into the test-only openspace::spec library) as the executable spec the
+// indexed paths are property-tested against.
 #pragma once
 
 #include <cstdint>
@@ -54,26 +59,26 @@ class FootprintIndex2 {
   static constexpr double kMinObserverRadiusM = 6'346'752.0;
   static constexpr double kMaxObserverRadiusM = 6'478'137.0;
 
+  /// Largest Earth-central angle at which an observer at any supported
+  /// radius (>= kMinObserverRadiusM) sees a satellite at `satRadiusM` with
+  /// elevation >= the mask, plus a small pad: from the sine rule in the
+  /// (center, observer, satellite) triangle,
+  ///   lambda = acos((kMinObserverRadiusM / r_s) cos e) - e + pad,
+  /// which grows with r_s. pi (register everywhere) for a satellite at or
+  /// below the highest supported observer radius. The registered
+  /// ground-pruning radius of every cap, and the session sweep's apogee
+  /// slack, use this one expression.
+  static double groundVisibilityHalfAngleRad(double satRadiusM,
+                                             double minElevationRad);
+
   /// Compile the footprint index of `snapshot` at `minElevationRad`.
   /// Throws InvalidArgumentError for a mask outside [0, pi/2] (the
   /// footprintHalfAngleRad domain — same throw as the brute path).
-  ///
-  /// `motionMarginRad` widens only the *registered pruning radii* (never
-  /// the exact cap predicate): with a margin of m, a ground-candidate
-  /// query answered from this snapshot remains a superset of the exactly
-  /// visible set at any time t' with angular drift <= m — i.e. for
-  /// |t' - timeSeconds()| <= m / (max per-satellite angular rate + Earth
-  /// rotation rate). The ground-visibility radii are additionally bounded
-  /// at each orbit's apogee, so radial motion over the window is covered
-  /// too. The session-plane epoch sweep compiles one margined index per
-  /// epoch and serves every event time inside it from that single compile.
-  /// Throws InvalidArgumentError for a negative or non-finite margin.
   FootprintIndex2(std::shared_ptr<const ConstellationSnapshot> snapshot,
-                  double minElevationRad, double motionMarginRad = 0.0);
+                  double minElevationRad);
 
   std::size_t size() const noexcept { return direction_.size(); }
   double minElevationRad() const noexcept { return minElevationRad_; }
-  double motionMarginRad() const noexcept { return motionMarginRad_; }
 
   /// Approximate resident size in bytes: the per-satellite cap arrays, the
   /// band index, and the certificate table (excludes the shared snapshot,
@@ -91,7 +96,7 @@ class FootprintIndex2 {
   const Vec3& direction(std::size_t i) const { return direction_.at(i); }
 
   /// True if satellite i covers the surface point with unit direction
-  /// `unitPoint` (ECI frame). Bit-identical to the orbit-layer
+  /// `unitPoint` (ECI frame). Bit-identical to the brute
   /// FootprintIndex::covers — the executable-spec predicate.
   bool covers(const Vec3& unitPoint, std::size_t i) const noexcept {
     return unitPoint.dot(direction_[i]) >= cosHalfAngle_[i];
@@ -139,8 +144,8 @@ class FootprintIndex2 {
   /// see every candidate.
   template <typename Fn>
   void forEachGroundCandidate(const Vec3& siteEcef, Fn&& fn) const {
-    const double radiusM = siteEcef.norm();
-    if (!(radiusM >= kMinObserverRadiusM && radiusM <= kMaxObserverRadiusM)) {
+    const std::optional<Vec3> unitEci = siteUnitEci(siteEcef);
+    if (!unitEci) {
       for (std::size_t i = 0; i < size(); ++i) {
         if constexpr (std::is_same_v<
                           std::invoke_result_t<Fn&, std::uint32_t>, bool>) {
@@ -151,16 +156,19 @@ class FootprintIndex2 {
       }
       return;
     }
-    // Rotate the site into the ECI frame of the cap centers (an exact
-    // longitude shift about +Z; z is rotation-invariant) and query the
-    // index with the unit direction.
-    const double inv = 1.0 / radiusM;  // units: 1/m
-    const Vec3 unitEci{
-        (siteEcef.x * cosLonOffset_ - siteEcef.y * sinLonOffset_) * inv,
-        (siteEcef.x * sinLonOffset_ + siteEcef.y * cosLonOffset_) * inv,
-        siteEcef.z * inv};
-    capIndex_.forEachCandidate(unitEci, fn);
+    capIndex_.forEachCandidate(*unitEci, fn);
   }
+
+  /// Replace `out` with the ascending, deduplicated satellites whose
+  /// registered cap comes within `driftRad` of the ECEF site's direction
+  /// (SphericalCapIndex::discCandidates). A drift of 0 is exactly
+  /// forEachGroundCandidate's set. With a drift of d the list is a
+  /// superset of the satellites visible at any instant by which a
+  /// satellite's sub-point motion, the site's ECI motion and the growth
+  /// of the satellite's visibility half-angle since this snapshot total
+  /// at most d (DESIGN.md §15).
+  void groundCandidates(const Vec3& siteEcef, double driftRad,
+                        std::vector<std::uint32_t>& out) const;
 
   /// Append (ascending, deduplicated, excluding i) every j whose footprint
   /// could overlap footprint i — a superset of {j : centralAngle(i, j) <
@@ -173,18 +181,11 @@ class FootprintIndex2 {
 
   /// The compiled index of (snapshot, mask) from a process-wide LRU keyed
   /// by (elements hash, count, quantized t, mask bits): coverage sweeps,
-  /// association batches and handover planning touching the same timestep
-  /// compile the index once.
+  /// association batches, handover planning and the session epoch sweep
+  /// touching the same timestep compile the index once.
   static std::shared_ptr<const FootprintIndex2> compiled(
       std::shared_ptr<const ConstellationSnapshot> snapshot,
       double minElevationRad);
-
-  /// compiled() with a motion margin on the pruning radii (see the
-  /// constructor); the LRU key includes the margin bits, so margined and
-  /// exact indexes of the same snapshot coexist in the cache.
-  static std::shared_ptr<const FootprintIndex2> compiled(
-      std::shared_ptr<const ConstellationSnapshot> snapshot,
-      double minElevationRad, double motionMarginRad);
 
   /// Byte budget of the compiled() cache (see
   /// FleetEphemeris::setCompiledCacheByteBudget for the shared eviction
@@ -196,9 +197,24 @@ class FootprintIndex2 {
   static std::size_t compiledCacheApproxBytes();
 
  private:
+  /// The site's unit direction in the ECI frame of the cap centers;
+  /// nullopt for a site outside the supported radius band, which the
+  /// ground queries answer with a full scan.
+  std::optional<Vec3> siteUnitEci(const Vec3& siteEcef) const noexcept {
+    const double radiusM = siteEcef.norm();
+    if (!(radiusM >= kMinObserverRadiusM && radiusM <= kMaxObserverRadiusM)) {
+      return std::nullopt;
+    }
+    // An exact longitude shift about +Z; z is rotation-invariant.
+    const double inv = 1.0 / radiusM;  // units: 1/m
+    return Vec3{
+        (siteEcef.x * cosLonOffset_ - siteEcef.y * sinLonOffset_) * inv,
+        (siteEcef.x * sinLonOffset_ + siteEcef.y * cosLonOffset_) * inv,
+        siteEcef.z * inv};
+  }
+
   std::shared_ptr<const ConstellationSnapshot> snapshot_;
   double minElevationRad_ = 0.0;
-  double motionMarginRad_ = 0.0;
   // ECEF->ECI rotation about +Z at the snapshot time (lon_eci = lon_ecef +
   // omega * t), stored as the rotation's cosine/sine.
   double cosLonOffset_ = 1.0;  // units: dimensionless rotation cosine

@@ -153,6 +153,16 @@ class SphericalCapIndex {
   void neighborhoodCandidates(std::size_t i, double radiusRad,
                               std::vector<std::uint32_t>& out) const;
 
+  /// Replace `out` with the ascending, deduplicated index of every cap
+  /// that *may* come within `radiusRad` of the unit direction — a superset
+  /// of {i : angle(center_i, unitDir) <= halfAngle_i + radiusRad}. A radius
+  /// of 0 (or less) is exactly forEachCandidate's one-cell stab; a radius
+  /// of pi or more (or NaN) returns every cap. Queries that must stay
+  /// conservative while the caps or the point move by up to `radiusRad`
+  /// widen the query here instead of the registered caps.
+  void discCandidates(const Vec3& unitDir, double radiusRad,
+                      std::vector<std::uint32_t>& out) const;
+
  private:
   // units: unit-sphere z component, dimensionless in [-1, 1]
   std::size_t bandOf(double unitZ) const noexcept {
@@ -199,6 +209,14 @@ class SphericalCapIndex {
   /// use, so (with the registration-side longitude pad) query rounding can
   /// never fall off the edge.
   SectorWindow sectorWindow(double centerLonRad, double halfWidthRad) const;
+
+  /// Call fn(cell) once for every cell holding a direction within
+  /// `radiusRad` (clamped to [0, pi]) of the (lat, lon) center — the band
+  /// and sector walk registration uses, with its pads, so no cell a disc
+  /// point maps to is missed.
+  template <typename Fn>
+  void forEachDiscCell(double centerLatRad, double centerLonRad,
+                       double radiusRad, Fn&& fn) const;
 
   std::size_t capCount_ = 0;
   std::size_t bands_ = 1;

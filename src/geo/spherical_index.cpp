@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <numeric>
 
 #include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
@@ -299,16 +300,13 @@ std::array<Vec3, 4> SphericalCapIndex::cellCornerDirs(std::size_t cell) const {
   return corners;
 }
 
-void SphericalCapIndex::neighborhoodCandidates(
-    std::size_t i, double radiusRad, std::vector<std::uint32_t>& out) const {
-  out.clear();
-  OPENSPACE_ASSERT(i < capCount_, "cap index within the index");
-  if (capCount_ <= 1) return;
-  const double lat = centerLatRad_[i];
-  const double lon = centerLonRad_[i];
+template <typename Fn>
+void SphericalCapIndex::forEachDiscCell(double centerLatRad,
+                                        double centerLonRad, double radiusRad,
+                                        Fn&& fn) const {
   const double r = std::clamp(radiusRad, 0.0, kPi);
-  const double latLo = std::max(-kPi / 2.0, lat - r);
-  const double latHi = std::min(kPi / 2.0, lat + r);
+  const double latLo = std::max(-kPi / 2.0, centerLatRad - r);
+  const double latHi = std::min(kPi / 2.0, centerLatRad + r);
   const std::size_t bLo = bandOf(std::sin(latLo) - kZPad);
   const std::size_t bHi = bandOf(std::sin(latHi) + kZPad);
   for (std::size_t b = bLo; b <= bHi; ++b) {
@@ -318,28 +316,66 @@ void SphericalCapIndex::neighborhoodCandidates(
         -1.0 + 2.0 * static_cast<double>(b + 1) / static_cast<double>(bands_);
     double segLo = std::max(latLo, std::asin(std::clamp(bandZLo, -1.0, 1.0)));
     double segHi = std::min(latHi, std::asin(std::clamp(bandZHi, -1.0, 1.0)));
-    if (segLo > segHi) segLo = segHi = std::clamp(lat, segHi, segLo);
+    if (segLo > segHi) segLo = segHi = std::clamp(centerLatRad, segHi, segLo);
     const double w = std::min(
-        kPi, capLonHalfWidthRad(lat, r, segLo, segHi) + kLonPadRad);
-    // Scan the same sector walk registration would use (sectorWindow, with
-    // its near-full-window guard): every cap whose *center* longitude lies
-    // in the window maps (monotone pseudo-angle, pad-covered rounding) to
-    // one of these sectors, and a cap always registers in the cell
-    // containing its center.
+        kPi, capLonHalfWidthRad(centerLatRad, r, segLo, segHi) + kLonPadRad);
+    // The same sector walk registration uses (sectorWindow, with its
+    // near-full-window guard): every direction within the disc maps
+    // (monotone pseudo-angle, pad-covered rounding) to one of these cells.
     const std::size_t base = b * sectors_;
-    const SectorWindow win = sectorWindow(lon, w);
+    const SectorWindow win = sectorWindow(centerLonRad, w);
     std::size_t s = win.start;
     for (std::uint32_t k = 0; k < win.count; ++k) {
-      const std::size_t c = base + s;
-      for (std::uint32_t e = cellStart_[c]; e < cellStart_[c + 1]; ++e) {
-        if (cellEntry_[e] != i) out.push_back(cellEntry_[e]);
-      }
+      fn(base + s);
       s = (s + 1 == sectors_) ? 0 : s + 1;
     }
   }
-  // A cap registers in several cells, so the scan sees it more than once;
+}
+
+void SphericalCapIndex::neighborhoodCandidates(
+    std::size_t i, double radiusRad, std::vector<std::uint32_t>& out) const {
+  out.clear();
+  OPENSPACE_ASSERT(i < capCount_, "cap index within the index");
+  if (capCount_ <= 1) return;
+  // A cap always registers in the cell containing its center, so walking
+  // every cell the disc touches visits every cap whose center is inside.
+  forEachDiscCell(centerLatRad_[i], centerLonRad_[i], radiusRad,
+                  [&](std::size_t c) {
+                    for (std::uint32_t e = cellStart_[c]; e < cellStart_[c + 1];
+                         ++e) {
+                      if (cellEntry_[e] != i) out.push_back(cellEntry_[e]);
+                    }
+                  });
+  // A cap registers in several cells, so the walk sees it more than once;
   // the sweep consumers need each neighbor exactly once, in ascending
   // order (the legacy pair loop's visit order).
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+void SphericalCapIndex::discCandidates(const Vec3& unitDir, double radiusRad,
+                                       std::vector<std::uint32_t>& out) const {
+  out.clear();
+  if (cellEntry_.empty()) return;
+  if (radiusRad <= 0.0) {
+    const auto [lo, hi] = cellEntryRange(cellIndexOf(unitDir));
+    out.assign(cellEntry_.begin() + lo, cellEntry_.begin() + hi);
+    return;
+  }
+  if (!(radiusRad < kPi)) {  // the whole sphere (NaN included)
+    out.resize(capCount_);
+    std::iota(out.begin(), out.end(), 0u);
+    return;
+  }
+  // If angle(center_i, p) <= R_i + r, the point at distance min(r, angle)
+  // from p toward center_i lies both in the disc and in cap i, so cap i is
+  // registered in a cell the disc touches.
+  forEachDiscCell(std::asin(std::clamp(unitDir.z, -1.0, 1.0)),
+                  std::atan2(unitDir.y, unitDir.x), radiusRad,
+                  [&](std::size_t c) {
+                    out.insert(out.end(), cellEntry_.begin() + cellStart_[c],
+                               cellEntry_.begin() + cellStart_[c + 1]);
+                  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }

@@ -19,18 +19,15 @@ namespace {
 
 /// Ascending candidate indices that may be visible from `user` — the
 /// footprint index prunes the fleet, the callers then apply the exact
-/// elevationFrom predicate the brute scans used. Sorting restores the
-/// brute loops' ascending visit order, which their first-wins tie
+/// elevationFrom predicate the brute scans used. The list comes back
+/// ascending — the brute loops' visit order, which their first-wins tie
 /// breaking depends on.
 std::vector<std::uint32_t> visibleCandidates(
     const std::shared_ptr<const ConstellationSnapshot>& snap,
     const Geodetic& user, double minElevationRad) {
   const auto footprints = FootprintIndex2::compiled(snap, minElevationRad);
   std::vector<std::uint32_t> candidates;
-  footprints->forEachGroundCandidate(
-      geodeticToEcef(user),
-      [&](std::uint32_t i) { candidates.push_back(i); });
-  std::sort(candidates.begin(), candidates.end());
+  footprints->groundCandidates(geodeticToEcef(user), 0.0, candidates);
   return candidates;
 }
 
@@ -68,8 +65,10 @@ double HandoverPlanner::visibilityEndWith(SatelliteSweep& sweep,
     throw InvalidArgumentError(
         "visibilityEndS: horizon must be finite and >= 0");
   }
+  const Vec3 userEcef = geodeticToEcef(user);
   const auto visible = [&](double t) {
-    return elevationFrom(sweep.positionEciAt(t), user, t) >= minElevationRad_;
+    return elevationFrom(sweep.positionEciAt(t), userEcef, t) >=
+           minElevationRad_;
   };
   double lastGridS = fromS;
   if (lastVisibleGridS != nullptr) *lastVisibleGridS = fromS;

@@ -28,6 +28,12 @@ bool isVisible(const Vec3& satEci, const Geodetic& ground, double tSeconds,
 /// time t; negative when below the horizon.
 double elevationFrom(const Vec3& satEci, const Geodetic& ground, double tSeconds);
 
+/// elevationFrom with the ground point already converted to ECEF — for
+/// callers that test one site many times. The Geodetic overload is this
+/// after one geodeticToEcef, so both return the same bits.
+double elevationFrom(const Vec3& satEci, const Vec3& groundEcef,
+                     double tSeconds);
+
 /// A time interval during which a satellite is visible from a ground point.
 struct ContactWindow {
   double startS = 0.0;

@@ -38,10 +38,14 @@ double maxSlantRangeM(double altitudeM, double minElevationRad) {
   return std::sqrt(re * re + rs * rs - 2.0 * re * rs * std::cos(lambda));
 }
 
-double elevationFrom(const Vec3& satEci, const Geodetic& ground, double tSeconds) {
-  const Vec3 groundEcef = geodeticToEcef(ground);
+double elevationFrom(const Vec3& satEci, const Vec3& groundEcef,
+                     double tSeconds) {
   const Vec3 satEcef = eciToEcef(satEci, tSeconds);
   return elevationAngleRad(groundEcef, satEcef);
+}
+
+double elevationFrom(const Vec3& satEci, const Geodetic& ground, double tSeconds) {
+  return elevationFrom(satEci, geodeticToEcef(ground), tSeconds);
 }
 
 bool isVisible(const Vec3& satEci, const Geodetic& ground, double tSeconds,

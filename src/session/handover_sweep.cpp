@@ -26,9 +26,9 @@ constexpr std::size_t kSeedChunk = 512;
 /// The legacy re-acquisition probe grid (simulateHandovers' 10 s scan).
 constexpr double kScanStepS = 10.0;
 
-/// Extra slack on the epoch index's motion margin beyond the rigorous
-/// drift bound — absorbs rounding in the bound's own evaluation.
-constexpr double kMarginSlackRad = 1e-6;
+/// Extra slack on the epoch query's drift radius beyond the rigorous
+/// bound — absorbs rounding in the bound's own evaluation.
+constexpr double kDriftSlackRad = 1e-6;
 
 /// Warm- and cold-started Kepler positions agree to this fraction of the
 /// orbital radius per component (the TimeSweep / SatelliteSweep contract,
@@ -104,8 +104,9 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
   elementsHash_ = constellationHash(elements_);
   // Fleet-wide angular-rate bound: the orbital rate peaks at perigee at
   // n * sqrt(1+e) / (1-e)^{3/2}; the observer's ECI direction adds the
-  // Earth rotation rate. Scales the epoch index's candidate motion margin.
-  // The perigee/apogee radius extremes size the successor probe's guard.
+  // Earth rotation rate. Together with the apogee slack it sizes the epoch
+  // query's drift radius. The perigee/apogee radius extremes size the
+  // successor probe's guard.
   double maxOrbital = 0.0;
   minPerigeeRadiusM_ = std::numeric_limits<double>::infinity();
   for (const OrbitalElements& el : elements_) {
@@ -113,10 +114,21 @@ HandoverSweep::HandoverSweep(const EphemerisService& ephemeris, SweepConfig cfg)
     const double rate = n * std::sqrt(1.0 + el.eccentricity) /
                         std::pow(1.0 - el.eccentricity, 1.5);
     maxOrbital = std::max(maxOrbital, rate);
-    minPerigeeRadiusM_ = std::min(minPerigeeRadiusM_,
-                                  el.semiMajorAxisM * (1.0 - el.eccentricity));
-    maxApogeeRadiusM_ = std::max(maxApogeeRadiusM_,
-                                 el.semiMajorAxisM * (1.0 + el.eccentricity));
+    const double perigeeM = el.semiMajorAxisM * (1.0 - el.eccentricity);
+    const double apogeeM = el.semiMajorAxisM * (1.0 + el.eccentricity);
+    minPerigeeRadiusM_ = std::min(minPerigeeRadiusM_, perigeeM);
+    maxApogeeRadiusM_ = std::max(maxApogeeRadiusM_, apogeeM);
+    // The ground-visibility half-angle grows with the satellite radius, so
+    // over one orbit it spans [lambda(perigee), lambda(apogee)]. Below the
+    // observer radii it is the whole sphere, and so is the slack.
+    apogeeSlackRad_ = std::max(
+        apogeeSlackRad_,
+        perigeeM <= FootprintIndex2::kMaxObserverRadiusM
+            ? std::numbers::pi
+            : FootprintIndex2::groundVisibilityHalfAngleRad(
+                  apogeeM, cfg.minElevationRad) -
+                  FootprintIndex2::groundVisibilityHalfAngleRad(
+                      perigeeM, cfg.minElevationRad));
   }
   maxAngularRateRadPerS_ = maxOrbital + wgs84::kEarthRotationRadPerS;
 }
@@ -130,13 +142,13 @@ double HandoverSweep::probeGuardRad(const Vec3& siteEcef) const noexcept {
 }
 
 std::uint32_t HandoverSweep::bestAtWithUntil(
-    const FootprintIndex2& index, const FleetEphemeris& fleet,
+    const FootprintIndex2& index, double driftRad, const FleetEphemeris& fleet,
     const Vec3& siteEcef, const Geodetic& site, double tSeconds,
     std::uint32_t excludeSat, SatelliteSweep& sweep,
     std::vector<std::uint32_t>& scratch, double& bestUntil,
     PickCounts& counts) const {
-  // The planner's bestSatelliteAt, fed from the epoch index: the index's
-  // candidate set is a (margined) superset of the per-call index the
+  // The planner's bestSatelliteAt, fed from the given index: its
+  // drift-widened candidate list is a superset of the per-call index the
   // planner compiles, and both re-test with the exact elevation predicate
   // in ascending order with strict first-wins — so the winner and its
   // visibility end are bit-identical (pinned in tests/test_session.cpp).
@@ -151,17 +163,14 @@ std::uint32_t HandoverSweep::bestAtWithUntil(
   // disagreement, and a candidate inside that band gets the full search.
   // Full searches always start from a freshly reset sweep, so their bits
   // are the unpruned loop's.
-  scratch.clear();
-  index.forEachGroundCandidate(
-      siteEcef, [&](std::uint32_t i) { scratch.push_back(i); });
-  std::sort(scratch.begin(), scratch.end());
+  index.groundCandidates(siteEcef, driftRad, scratch);
   const double probeMaskRad = cfg_.minElevationRad - probeGuardRad(siteEcef);
   std::uint32_t best = kNoSatellite;
   bestUntil = -1.0;
   double bestGridS = tSeconds;  // the winner's last visible grid point
   for (const std::uint32_t i : scratch) {
     if (i == excludeSat) continue;
-    if (elevationFrom(fleet.positionAt(i, tSeconds), site, tSeconds) <
+    if (elevationFrom(fleet.positionAt(i, tSeconds), siteEcef, tSeconds) <
         cfg_.minElevationRad) {
       continue;
     }
@@ -169,7 +178,7 @@ std::uint32_t HandoverSweep::bestAtWithUntil(
     // bestUntil >= bestGridS holds for every winner up to rounding of the
     // scan's `t - step` bracket; checking it keeps the bound exact.
     if (best != kNoSatellite && bestUntil >= bestGridS &&
-        elevationFrom(fleet.positionAt(i, bestGridS), site, bestGridS) <
+        elevationFrom(fleet.positionAt(i, bestGridS), siteEcef, bestGridS) <
             probeMaskRad) {
       continue;
     }
@@ -213,7 +222,7 @@ void HandoverSweep::seed(SessionTable& table,
                   const Vec3 siteEcef = geodeticToEcef(seeds[u].location);
                   if (mode == SeedMode::Planner) {
                     serving[u] = bestAtWithUntil(
-                        *index, *fleet, siteEcef, seeds[u].location, t0S,
+                        *index, 0.0, *fleet, siteEcef, seeds[u].location, t0S,
                         kNoSatellite, sweep, scratch, untilS[u], picks);
                   } else {
                     const auto closest = index->closestVisible(siteEcef);
@@ -301,16 +310,16 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
   if (!(t1S > t0S)) {
     throw InvalidArgumentError("runEpoch: t1S must be > table clock");
   }
-  // One snapshot + one margined footprint index serve every event in the
-  // epoch: the index is compiled at the epoch midpoint, with the pruning
-  // caps widened by the worst-case angular drift to either epoch edge —
-  // candidate sets stay conservative supersets at every event time.
-  const double midS = t0S + 0.5 * (t1S - t0S);
-  const double marginRad =
-      maxAngularRateRadPerS_ * (0.5 * (t1S - t0S) + 1e-3) + kMarginSlackRad;
-  const auto snap = SnapshotCache::global().at(elements_, midS);
-  const auto index =
-      FootprintIndex2::compiled(snap, cfg_.minElevationRad, marginRad);
+  // The margin-0 index of the epoch's end instant serves every event in
+  // the epoch — the (snapshot, mask) entry the coverage stage and seed()
+  // share. Each pick widens its query disc by the worst-case angular drift
+  // back to the epoch start (event times lie in [t0S - 1e-3, t1S]) plus
+  // the apogee slack, so candidate lists stay conservative supersets at
+  // every event time (DESIGN.md §15).
+  const double driftRad = maxAngularRateRadPerS_ * (t1S - t0S + 1e-3) +
+                          apogeeSlackRad_ + kDriftSlackRad;
+  const auto snap = SnapshotCache::global().at(elements_, t1S);
+  const auto index = FootprintIndex2::compiled(snap, cfg_.minElevationRad);
   const auto fleet = FleetEphemeris::compiled(elements_, elementsHash_);
 
   std::vector<ShardStats> stats(table.shardCount());
@@ -338,9 +347,10 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
             std::uint32_t found = kNoSatellite;
             double foundUntil = 0.0;
             while (gridS < t1S) {
-              found = bestAtWithUntil(*index, *fleet, st.siteEcef[slot],
-                                      st.site[slot], gridS, kNoSatellite,
-                                      sweep, scratch, foundUntil, out.picks);
+              found = bestAtWithUntil(*index, driftRad, *fleet,
+                                      st.siteEcef[slot], st.site[slot], gridS,
+                                      kNoSatellite, sweep, scratch, foundUntil,
+                                      out.picks);
               if (found != kNoSatellite) break;
               gridS += kScanStepS;
             }
@@ -373,8 +383,8 @@ EpochStats HandoverSweep::runEpoch(SessionTable& table, double t1S,
           const std::uint32_t from = st.servingSat[slot];
           double succUntil = 0.0;
           const std::uint32_t succ = bestAtWithUntil(
-              *index, *fleet, st.siteEcef[slot], st.site[slot], endS - 1e-3,
-              from, sweep, scratch, succUntil, out.picks);
+              *index, driftRad, *fleet, st.siteEcef[slot], st.site[slot],
+              endS - 1e-3, from, sweep, scratch, succUntil, out.picks);
           if (succ == kNoSatellite) {
             // Coverage hole: re-acquire on the 10 s grid from the mask
             // crossing (the first probe runs at endS itself).

@@ -7,9 +7,11 @@
 // steps) even when nothing changes. HandoverSweep replaces that with an
 // epoch kernel over persistent session state:
 //
-//  * one ConstellationSnapshot + FootprintIndex2 compile per epoch (the
-//    index carries a motion margin sized so its candidate sets stay
-//    conservative supersets at every event time inside the epoch);
+//  * no index of its own: every pick in the epoch reads the margin-0
+//    FootprintIndex2 of the epoch's end instant — the compiled() entry the
+//    coverage stage and seed() share — through a query disc widened by
+//    the worst-case drift over the epoch, so candidate lists stay
+//    conservative supersets at every event time inside it;
 //  * the per-shard expiry heaps select exactly the sessions whose
 //    predicted handover falls inside the epoch — no full-table scan;
 //  * visibility searches run on one warm-startable SatelliteSweep per
@@ -124,8 +126,15 @@ class HandoverSweep {
   }
   /// Upper bound on any satellite's angular rate as seen from the Earth
   /// frame (orbital rate at perigee + Earth rotation), rad/s — sizes the
-  /// epoch index's motion margin.
+  /// epoch query's drift radius.
   double maxAngularRateRadPerS() const noexcept { return maxAngularRateRadPerS_; }
+  /// max over the fleet of lambda(apogee) - lambda(perigee), lambda being
+  /// FootprintIndex2::groundVisibilityHalfAngleRad at the mask (pi if a
+  /// perigee lies at or below the highest supported observer radius): how
+  /// far a satellite's visibility half-angle can exceed the one the index
+  /// registered at another point of its orbit. Part of the epoch query's
+  /// drift radius; 0 for a circular fleet.
+  double apogeeSlackRad() const noexcept { return apogeeSlackRad_; }
 
   /// Guard band (rad) of the successor search's one-probe bound at a site:
   /// a cold-solved elevation this far below the mask is below it in the
@@ -142,13 +151,14 @@ class HandoverSweep {
   struct PickCounts;
 
   /// Index of the best satellite at `tSeconds` for the site — candidates
-  /// from the margined epoch index, the exact planner predicate and
-  /// first-wins tie order, visibility ends through `sweep` — and its
+  /// from `index` widened by `driftRad` (0 when the index is of
+  /// `tSeconds` itself), the exact planner predicate and first-wins tie
+  /// order, visibility ends through `sweep` — and its
   /// visibility end through `bestUntil` (the new leg's predicted expiry).
   /// Bit-identical to HandoverPlanner::bestSatelliteAt; candidates that
   /// cannot beat the current winner are ruled out by one elevation probe
   /// instead of a full search. kNoSatellite when none visible.
-  std::uint32_t bestAtWithUntil(const FootprintIndex2& index,
+  std::uint32_t bestAtWithUntil(const FootprintIndex2& index, double driftRad,
                                 const FleetEphemeris& fleet,
                                 const Vec3& siteEcef, const Geodetic& site,
                                 double tSeconds, std::uint32_t excludeSat,
@@ -164,6 +174,7 @@ class HandoverSweep {
   double maxAngularRateRadPerS_ = 0.0;
   double minPerigeeRadiusM_ = 0.0;
   double maxApogeeRadiusM_ = 0.0;
+  double apogeeSlackRad_ = 0.0;
 };
 
 }  // namespace openspace

@@ -7,6 +7,7 @@
 #include <openspace/coverage/coverage.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/orbit/footprint_index.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>

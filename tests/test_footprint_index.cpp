@@ -3,7 +3,7 @@
 // Three layers under test:
 //  * SphericalCapIndex: the candidate sets are supersets of the true
 //    containing/overlapping cap sets, each cap visited at most once;
-//  * FootprintIndex2: bit-identical to the orbit-layer FootprintIndex cap
+//  * FootprintIndex2: bit-identical to the brute FootprintIndex (spec/) cap
 //    predicate and to ConstellationSnapshot::closestVisible, including
 //    polar sites, high-altitude sites (full-scan fallback) and empty
 //    constellations;
@@ -13,6 +13,7 @@
 //    must match the per-user brute association exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <numbers>
@@ -27,6 +28,8 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/spherical_index.hpp>
 #include <openspace/geo/units.hpp>
+#include <openspace/geo/wgs84.hpp>
+#include <openspace/orbit/footprint_index.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
@@ -152,6 +155,90 @@ TEST(SphericalCapIndex, NeighborhoodSuperset) {
                               static_cast<std::uint32_t>(j)) != out.end())
             << "center " << j << " at distance " << d
             << " missing from radius-" << radius << " neighborhood of " << i;
+      }
+    }
+  }
+}
+
+/// Query directions for the disc and neighborhood properties: random
+/// points plus both poles and points on the +-pi longitude seam.
+std::vector<Vec3> discQueryPoints(Rng& rng, int randomCount) {
+  std::vector<Vec3> points = {
+      Vec3{0.0, 0.0, 1.0},  Vec3{0.0, 0.0, -1.0}, Vec3{-1.0, 0.0, 0.0},
+      Vec3{-0.6, 0.0, 0.8}, Vec3{-0.8, -1e-17, -0.6}};
+  for (int q = 0; q < randomCount; ++q) points.push_back(rng.unitSphere());
+  return points;
+}
+
+TEST(SphericalCapIndex, DiscCandidatesAreAscendingSupersets) {
+  Rng rng(105);
+  auto caps = randomCaps(150, rng, deg2rad(0.5), deg2rad(30.0));
+  caps.push_back({Vec3{0.0, 0.0, 1.0}, deg2rad(5.0)});    // on a pole
+  caps.push_back({Vec3{0.0, 0.0, -1.0}, 0.0});            // degenerate point
+  caps.push_back({Vec3{-1.0, 0.0, 0.0}, deg2rad(8.0)});   // on the seam
+  const SphericalCapIndex index(caps);
+  std::vector<std::uint32_t> out;
+  std::vector<std::uint32_t> stab;
+  for (const double r : {0.0, 1e-6, 0.01, 0.1, 0.5, 1.5, 3.0, kPi, 4.0}) {
+    for (const Vec3& p : discQueryPoints(rng, 200)) {
+      index.discCandidates(p, r, out);
+      for (std::size_t k = 1; k < out.size(); ++k) {
+        ASSERT_LT(out[k - 1], out[k]) << "radius " << r;
+      }
+      if (r >= kPi) {
+        EXPECT_EQ(out.size(), caps.size());
+      }
+      if (r == 0.0) {
+        // Radius 0 is exactly the one-cell stab.
+        stab.clear();
+        index.forEachCandidate(p, [&](std::uint32_t i) { stab.push_back(i); });
+        EXPECT_EQ(out, stab);
+      }
+      for (std::size_t i = 0; i < caps.size(); ++i) {
+        const double angle = centralAngleRad(p, caps[i].unitCenter);
+        if (angle <= caps[i].halfAngleRad + r - 1e-9) {
+          EXPECT_TRUE(std::binary_search(out.begin(), out.end(),
+                                         static_cast<std::uint32_t>(i)))
+              << "cap " << i << " at angle " << angle << " (half-angle "
+              << caps[i].halfAngleRad << ") missing from radius-" << r
+              << " disc";
+        }
+      }
+    }
+  }
+  const SphericalCapIndex empty;
+  out.assign(3, 7u);
+  empty.discCandidates(Vec3{0.0, 0.0, 1.0}, 0.5, out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(SphericalCapIndex, NeighborhoodSupersetAtPolesAndSeam) {
+  Rng rng(106);
+  std::vector<SphericalCapIndex::Cap> caps;
+  for (const Vec3& p : discQueryPoints(rng, 60)) {
+    caps.push_back({p, rng.uniform(deg2rad(1.0), deg2rad(20.0))});
+  }
+  const SphericalCapIndex index(caps);
+  std::vector<std::uint32_t> out;
+  for (const double extra : {0.0, 0.05, 0.6, kPi}) {
+    for (std::size_t i = 0; i < caps.size(); ++i) {
+      const double radius = caps[i].halfAngleRad + extra;
+      index.neighborhoodCandidates(i, radius, out);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        ASSERT_NE(out[k], static_cast<std::uint32_t>(i));
+        if (k > 0) ASSERT_LT(out[k - 1], out[k]);
+      }
+      for (std::size_t j = 0; j < caps.size(); ++j) {
+        if (j == i) continue;
+        const double d =
+            centralAngleRad(caps[i].unitCenter, caps[j].unitCenter);
+        if (d <= radius - 1e-9) {
+          EXPECT_TRUE(std::binary_search(out.begin(), out.end(),
+                                         static_cast<std::uint32_t>(j)))
+              << "center " << j << " at distance " << d
+              << " missing from radius-" << radius << " neighborhood of "
+              << i;
+        }
       }
     }
   }
@@ -293,7 +380,7 @@ TEST(CapLonHalfWidth, BoundsSampledCapPoints) {
 }
 
 // ---------------------------------------------------------------------------
-// FootprintIndex2 vs. the orbit-layer brute predicates
+// FootprintIndex2 vs. the brute predicates (spec/ FootprintIndex, snapshot)
 // ---------------------------------------------------------------------------
 
 TEST(FootprintIndex2, CoversBitIdenticalToOrbitIndex) {
@@ -370,6 +457,74 @@ TEST(FootprintIndex2, GroundCandidatesAreSuperset) {
       }
     }
   }
+}
+
+TEST(FootprintIndex2, GroundCandidatesWithDriftCoverLaterInstants) {
+  // groundCandidates(site, d) on the index of instant t must hold every
+  // satellite visible at t + dt once d bounds the drift over dt: here the
+  // circular fleet's orbital rate plus the Earth rotation rate, times dt.
+  Rng rng(204);
+  const auto sats = makeRandomConstellation(80, km(550.0), rng);
+  const double maskRad = deg2rad(10.0);
+  const auto snap = SnapshotCache::global().at(sats, 100.0);
+  const auto indexed = FootprintIndex2::compiled(snap, maskRad);
+  double maxRate = 0.0;
+  for (const OrbitalElements& el : sats) {
+    maxRate = std::max(maxRate, el.meanMotionRadPerS());
+  }
+  maxRate += wgs84::kEarthRotationRadPerS;
+  std::vector<std::uint32_t> out;
+  std::vector<std::uint32_t> stab;
+  for (const double dt : {0.0, 15.0, 120.0, 900.0}) {
+    const auto later = SnapshotCache::global().at(sats, 100.0 + dt);
+    for (int q = 0; q < 200; ++q) {
+      Geodetic site = rng.surfacePoint();
+      if (q == 0) site = Geodetic::fromDegrees(90.0, 0.0);
+      if (q == 1) site = Geodetic::fromDegrees(-90.0, 0.0);
+      if (q == 2) site = Geodetic::fromDegrees(0.0, 180.0);
+      const Vec3 ecef = geodeticToEcef(site);
+      indexed->groundCandidates(ecef, maxRate * dt + 1e-6, out);
+      for (std::size_t k = 1; k < out.size(); ++k) {
+        ASSERT_LT(out[k - 1], out[k]);
+      }
+      if (dt == 0.0) {
+        stab.clear();
+        indexed->forEachGroundCandidate(
+            ecef, [&](std::uint32_t i) { stab.push_back(i); });
+        std::sort(stab.begin(), stab.end());
+        indexed->groundCandidates(ecef, 0.0, out);
+        EXPECT_EQ(out, stab);
+      }
+      for (std::size_t i = 0; i < sats.size(); ++i) {
+        if (elevationAngleRad(ecef, later->ecef(i)) >= maskRad) {
+          EXPECT_TRUE(std::binary_search(out.begin(), out.end(),
+                                         static_cast<std::uint32_t>(i)))
+              << "satellite " << i << " visible at +" << dt << " s pruned";
+        }
+      }
+    }
+  }
+  // Sites outside the supported observer radii fall back to every index.
+  indexed->groundCandidates(Vec3{0.0, 0.0, 8.0e6}, 0.01, out);
+  ASSERT_EQ(out.size(), sats.size());
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i);
+}
+
+TEST(FootprintIndex2, GroundVisibilityHalfAngleGrowsWithRadius) {
+  const double maskRad = deg2rad(10.0);
+  double previous = 0.0;
+  for (const double altKm : {200.0, 550.0, 1'200.0, 8'000.0, 35'786.0}) {
+    const double lam = FootprintIndex2::groundVisibilityHalfAngleRad(
+        wgs84::kMeanRadiusM + km(altKm), maskRad);
+    EXPECT_GT(lam, previous) << altKm << " km";
+    EXPECT_LT(lam, kPi / 2);
+    // Never below the footprint half-angle at the mean radius.
+    EXPECT_GE(lam, footprintHalfAngleRad(km(altKm), maskRad));
+    previous = lam;
+  }
+  EXPECT_EQ(FootprintIndex2::groundVisibilityHalfAngleRad(
+                FootprintIndex2::kMaxObserverRadiusM, maskRad),
+            kPi);
 }
 
 TEST(FootprintIndex2, EmptyConstellation) {

@@ -2,9 +2,12 @@
 // Walker constellations, visibility, contact windows, ephemeris service.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <set>
+#include <vector>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/rng.hpp>
@@ -292,6 +295,32 @@ TEST(Visibility, SatelliteDirectlyOverhead) {
   const auto el = OrbitalElements::circular(km(780.0), 0.0, 0.0, 0.0);
   EXPECT_TRUE(isVisible(positionEci(el, 0.0), site, 0.0, deg2rad(80.0)));
   EXPECT_NEAR(elevationFrom(positionEci(el, 0.0), site, 0.0), kPi / 2, 0.02);
+}
+
+TEST(Visibility, EcefOverloadIsBitIdenticalToGeodetic) {
+  Rng rng(77);
+  const auto el = OrbitalElements::circular(km(550.0), deg2rad(53.0), 0.4, 1.1);
+  std::vector<Geodetic> sites = {
+      Geodetic::fromDegrees(90.0, 0.0), Geodetic::fromDegrees(-90.0, 0.0),
+      Geodetic::fromDegrees(90.0, 135.0, 1'200.0),
+      Geodetic::fromDegrees(0.0, 180.0), Geodetic::fromDegrees(-12.5, -180.0)};
+  for (int i = 0; i < 200; ++i) {
+    Geodetic site = rng.surfacePoint();
+    site.altitudeM = rng.uniform(-400.0, 9'000.0);
+    sites.push_back(site);
+  }
+  for (const Geodetic& site : sites) {
+    const Vec3 siteEcef = geodeticToEcef(site);
+    for (int k = 0; k < 5; ++k) {
+      const double t = rng.uniform(-1.0e4, 1.0e5);
+      const Vec3 sat = positionEci(el, t);
+      const double viaGeodetic = elevationFrom(sat, site, t);
+      const double viaEcef = elevationFrom(sat, siteEcef, t);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(viaGeodetic),
+                std::bit_cast<std::uint64_t>(viaEcef))
+          << "lat " << site.latitudeRad << " t " << t;
+    }
+  }
 }
 
 TEST(Visibility, AntipodalSatelliteNotVisible) {

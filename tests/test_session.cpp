@@ -20,11 +20,13 @@
 #include <openspace/auth/certificate.hpp>
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/core/hash.hpp>
+#include <openspace/coverage/footprint_index.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/handover/handover.hpp>
 #include <openspace/orbit/propagation_batch.hpp>
 #include <openspace/orbit/shells.hpp>
+#include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/session/handover_sweep.hpp>
@@ -190,6 +192,58 @@ TEST_F(SessionSweepTest, FinalTableStateIsPartitionInvariant) {
   const SweepRun many = runSweep(sites_, fine);
   EXPECT_EQ(one.finalChecksum, uneven.finalChecksum);
   EXPECT_EQ(one.finalChecksum, many.finalChecksum);
+}
+
+// --- one footprint index per instant -------------------------------------
+
+TEST_F(SessionSweepTest, RunEpochReusesTheIndexOfItsEndInstant) {
+  // The coverage stage compiles (snapshot(t1), mask) before the sweep runs;
+  // runEpoch must read that entry and build no snapshot or index of its
+  // own — not even on the epochs that execute handovers.
+  const double T = 1'800.0;
+  SessionTable table(eph_.satellites().size());
+  const HandoverSweep sweep(eph_, cfg_);
+  sweep.seed(table, seedsFor(sites_), 0.0, SeedMode::Planner);
+  std::vector<SessionEvent> events;
+  std::size_t handovers = 0;
+  for (const double t1 : {15.0, 600.0, 1'200.0, T}) {
+    FootprintIndex2::compiled(SnapshotCache::global().at(eph_, t1), mask_);
+    const std::size_t indexBytes = FootprintIndex2::compiledCacheApproxBytes();
+    const std::size_t snapshotMisses = SnapshotCache::global().misses();
+    handovers += sweep.runEpoch(table, t1, &events).handovers;
+    EXPECT_EQ(FootprintIndex2::compiledCacheApproxBytes(), indexBytes) << t1;
+    EXPECT_EQ(SnapshotCache::global().misses(), snapshotMisses) << t1;
+  }
+  EXPECT_GT(handovers, 0u);
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    expectMatchesLegacy(
+        eventsOf(events, i + 1),
+        simulateHandovers(*planner_, sites_[i], 0.0, T, HandoverMode::Predictive));
+  }
+}
+
+TEST_F(SessionSweepTest, CoverageIndexAtAnotherMaskStillMatchesLegacy) {
+  // A coverage stage at a different mask leaves the sweep's own (snapshot,
+  // mask) entry to compile on first use; the events are unchanged.
+  const double T = 1'800.0;
+  SessionTable table(eph_.satellites().size());
+  const HandoverSweep sweep(eph_, cfg_);
+  sweep.seed(table, seedsFor(sites_), 0.0, SeedMode::Planner);
+  std::vector<SessionEvent> events;
+  for (const double t1 : {300.0, 900.0, T}) {
+    FootprintIndex2::compiled(SnapshotCache::global().at(eph_, t1),
+                              deg2rad(25.0));
+    const std::size_t snapshotMisses = SnapshotCache::global().misses();
+    sweep.runEpoch(table, t1, &events);
+    EXPECT_EQ(SnapshotCache::global().misses(), snapshotMisses) << t1;
+  }
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    expectMatchesLegacy(
+        eventsOf(events, i + 1),
+        simulateHandovers(*planner_, sites_[i], 0.0, T, HandoverMode::Predictive));
+  }
 }
 
 // --- determinism ----------------------------------------------------------
@@ -504,6 +558,117 @@ class EccentricDenseSessionSweepTest : public DenseSessionSweepTest {
  protected:
   EccentricDenseSessionSweepTest() : DenseSessionSweepTest(0.002) {}
 };
+
+/// Retrograde, near-equatorial orbits at e = 0.2 seen from equatorial
+/// sites 31 km below the ellipsoid (just inside the lowest supported
+/// observer radius, where the index's ground radius has the least hidden
+/// slack). A setting satellite recedes westward while the site turns
+/// east, so the separation grows at nearly the drift bound's rate, and a
+/// satellite descending toward perigee was higher — with a wider
+/// visibility half-angle — at the pick than at the index's instant. Only
+/// the apogee slack keeps such candidates in the list.
+std::vector<OrbitalElements> recedingEccentricFleet() {
+  std::vector<OrbitalElements> fleet;
+  const double inclinationsDeg[] = {179.0, 176.0, 172.0};
+  for (int ring = 0; ring < 3; ++ring) {
+    for (int k = 0; k < 30; ++k) {
+      OrbitalElements el;
+      el.semiMajorAxisM = 8'500e3;
+      el.eccentricity = 0.2;
+      el.inclinationRad = deg2rad(inclinationsDeg[ring]);
+      el.raanRad = deg2rad(40.0 * ring);
+      el.argPerigeeRad = deg2rad(25.0 * ring);
+      el.meanAnomalyAtEpochRad =
+          2.0 * std::numbers::pi * (k + 0.37 * ring) / 30.0;
+      fleet.push_back(el);
+    }
+  }
+  return fleet;
+}
+
+class RecedingEccentricSweepTest : public SessionSweepTest {
+ protected:
+  RecedingEccentricSweepTest() : SessionSweepTest(recedingEccentricFleet()) {}
+
+  std::vector<Geodetic> equatorSites() const {
+    std::vector<Geodetic> sites;
+    for (int k = 0; k < 12; ++k) {
+      sites.push_back(Geodetic::fromDegrees(0.0, -180.0 + 30.0 * k, -31'000.0));
+    }
+    return sites;
+  }
+};
+
+TEST_F(RecedingEccentricSweepTest, CandidateListsHoldEverySatelliteAboveTheMask) {
+  // candidatesAboveMask counts the listed candidates that pass the exact
+  // mask test at each pick. With no coverage holes every pick is a
+  // successor pick at an event's atS - 1e-3 with its fromSat excluded, so
+  // the count must equal a brute scan of the fleet at those instants; a
+  // candidate list missing a visible satellite comes up short. A 30 s
+  // horizon ends every leg early, so picks land at all phases of the
+  // passes — setting satellites included — not only at mask crossings.
+  cfg_.horizonS = 30.0;
+  const std::vector<Geodetic> sites = equatorSites();
+  const double T = 9'600.0;
+  std::vector<double> boundaries;
+  for (double t = 1'200.0; t <= T; t += 1'200.0) boundaries.push_back(t);
+  const SweepRun run = runSweep(sites, boundaries);
+  std::size_t aboveMask = 0;
+  std::size_t holes = 0;
+  for (const EpochStats& st : run.stats) {
+    aboveMask += st.candidatesAboveMask;
+    holes += st.coverageHoles + st.reacquisitions;
+  }
+  ASSERT_EQ(holes, 0u);
+  ASSERT_GE(run.events.size(), 100 * sites.size());
+  std::size_t expected = 0;
+  const auto& sats = eph_.satellites();
+  for (const SessionEvent& e : run.events) {
+    const Geodetic& site = sites[e.user - 1];
+    const double t = e.atS - 1e-3;
+    for (std::size_t i = 0; i < sats.size(); ++i) {
+      if (i != e.fromSat &&
+          elevationFrom(eph_.positionEci(sats[i], t), site, t) >= mask_) {
+        ++expected;
+      }
+    }
+  }
+  EXPECT_EQ(aboveMask, expected);
+}
+
+TEST_F(RecedingEccentricSweepTest, EventsMatchLegacy) {
+  const std::vector<Geodetic> sites = equatorSites();
+  const double T = 6'000.0;
+  const SweepRun run = runSweep(sites, {600.0, 1'800.0, 1'801.0, 4'000.0, T});
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    SCOPED_TRACE("site " + std::to_string(i));
+    expectMatchesLegacy(
+        eventsOf(run.events, i + 1),
+        simulateHandovers(*planner_, sites[i], 0.0, T, HandoverMode::Predictive));
+  }
+}
+
+TEST_F(RecedingEccentricSweepTest, ApogeeSlackIsTheHalfAngleSpanOfTheOrbit) {
+  const HandoverSweep sweep(eph_, cfg_);
+  const OrbitalElements& el = eph_.record(eph_.satellites().front()).elements;
+  EXPECT_EQ(sweep.apogeeSlackRad(),
+            FootprintIndex2::groundVisibilityHalfAngleRad(
+                el.semiMajorAxisM * (1.0 + el.eccentricity), mask_) -
+                FootprintIndex2::groundVisibilityHalfAngleRad(
+                    el.semiMajorAxisM * (1.0 - el.eccentricity), mask_));
+  EXPECT_GT(sweep.apogeeSlackRad(), 0.0);
+
+  // Circular fleets need none; a perigee at or below the supported
+  // observer radii needs the whole sphere.
+  EphemerisService eph;
+  eph.publish(ProviderId{1}, OrbitalElements::circular(km(550.0), 0.9, 0, 0));
+  EXPECT_EQ(HandoverSweep(eph, cfg_).apogeeSlackRad(), 0.0);
+  OrbitalElements grazing;
+  grazing.semiMajorAxisM = 7'000e3;
+  grazing.eccentricity = 0.1;  // perigee 6,300 km
+  eph.publish(ProviderId{1}, grazing);
+  EXPECT_EQ(HandoverSweep(eph, cfg_).apogeeSlackRad(), std::numbers::pi);
+}
 
 TEST_F(DenseSessionSweepTest, FixtureIsDense) {
   EXPECT_GE(eph_.satellites().size(), 1'000u);

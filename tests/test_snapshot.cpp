@@ -16,6 +16,7 @@
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/ephemeris.hpp>
 #include <openspace/orbit/shells.hpp>
+#include <openspace/orbit/footprint_index.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
