@@ -10,7 +10,7 @@
 #include <openspace/econ/capex.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 int main() {
@@ -61,7 +61,8 @@ int main() {
       }
     }
 
-    const Route path = shortestPath(g, userNode, gwNode, latencyCost());
+    const Route path =
+        RouteEngine(g, latencyCost()).shortestPath(userNode, gwNode);
     const double bneck = path.valid() ? path.bottleneckBps / 1e6 : 0.0;
 
     // Fleet cost: laser satellites carry the premium model.

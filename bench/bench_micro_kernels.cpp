@@ -107,8 +107,8 @@ void BM_DijkstraLegacy(benchmark::State& state) {
 BENCHMARK(BM_DijkstraLegacy);
 
 /// Single-source Dijkstra proper: the full tree from one satellite. The
-/// engine returns a compact PathTree (two flat arrays); the legacy free
-/// function materializes a Route per reachable destination. Same query
+/// engine returns a compact PathTree (two flat arrays); the legacy reference
+/// materializes a Route per reachable destination. Same query
 /// schedule for both.
 void BM_ShortestPathTree(benchmark::State& state) {
   EphemerisService eph;
@@ -135,8 +135,8 @@ void BM_ShortestPathTreeLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPathTreeLegacy);
 
-/// One-shot CSR compilation cost (what a RouteEngine constructor pays, and
-/// what one-shot shortestPath() calls amortize away by reusing an engine).
+/// One-shot CSR compilation cost: what a RouteEngine constructor pays, once
+/// per (snapshot, cost model), before any number of queries.
 void BM_RouteEngineCompile(benchmark::State& state) {
   EphemerisService eph;
   const NetworkGraph g = iridiumPlusGridSnapshot(eph);

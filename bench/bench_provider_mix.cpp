@@ -11,7 +11,7 @@
 #include <openspace/orbit/walker.hpp>
 #include <openspace/econ/incentives.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 int main() {
@@ -59,10 +59,11 @@ int main() {
     opt.nearestK = 4;
     const NetworkGraph g = topo.snapshot(0.0, opt);
     const auto sats = g.nodesOfKind(NodeKind::Satellite);
-    const auto tree = shortestPathTree(g, sats.front(), latencyCost());
+    const PathTree tree =
+        RouteEngine(g, latencyCost()).shortestPathTree(sats.front());
     double reachable = 0;
     for (const NodeId s : sats) {
-      if (tree.contains(s)) reachable += 1;
+      if (tree.reaches(s)) reachable += 1;
     }
     const double connFrac = reachable / static_cast<double>(sats.size());
 

@@ -10,7 +10,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/regulation/regime.hpp>
-#include <openspace/routing/ondemand.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 int main() {
@@ -60,20 +60,22 @@ int main() {
   std::printf("%-12s %-16s %-16s %-16s %-16s\n", "user", "free_gateways",
               "legal_gateways", "free_ms", "compliant_ms");
 
+  // One engine per (snapshot, cost model): the unconstrained one is shared
+  // by every user, the compliant one depends on the user's region.
+  const RouteEngine freeEngine(g, latencyCost());
   for (std::size_t u = 0; u < userNodes.size(); ++u) {
-    const LinkCostFn freeCost = latencyCost();
-    const LinkCostFn legalCost =
-        complianceConstrainedCost(latencyCost(), regime, users[u].region);
+    const RouteEngine legalEngine(
+        g, complianceConstrainedCost(latencyCost(), regime, users[u].region));
 
     int freeReach = 0, legalReach = 0;
     Route bestFree, bestLegal;
     for (const NodeId gw : gatewayNodes) {
-      const Route rf = shortestPath(g, userNodes[u], gw, freeCost);
+      const Route rf = freeEngine.shortestPath(userNodes[u], gw);
       if (rf.valid()) {
         ++freeReach;
         if (rf.cost < bestFree.cost) bestFree = rf;
       }
-      const Route rl = shortestPath(g, userNodes[u], gw, legalCost);
+      const Route rl = legalEngine.shortestPath(userNodes[u], gw);
       if (rl.valid()) {
         ++legalReach;
         if (rl.cost < bestLegal.cost) bestLegal = rl;

@@ -9,7 +9,7 @@
 
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/security/reputation.hpp>
 #include <openspace/sim/scenario.hpp>
 
@@ -60,9 +60,9 @@ int main() {
 
     // Routing availability for user A after quarantine enforcement.
     const NetworkGraph g = scenario.snapshot(0.0);
-    const LinkCostFn cost = quarantineAwareCost(latencyCost(), rep);
+    const RouteEngine routes(g, quarantineAwareCost(latencyCost(), rep));
     const Route r =
-        shortestPath(g, scenario.userNode(0), scenario.homeGatewayOf(0), cost);
+        routes.shortestPath(scenario.userNode(0), scenario.homeGatewayOf(0));
 
     std::printf("%-12.2f %-10s %-12d %-12.3f %-12s %-14s\n", fraudFactor,
                 caught ? "yes" : "no", suspectedMallory, rep.score(mallory),

@@ -11,7 +11,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/isl/fleet.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 int main() {
@@ -54,7 +54,7 @@ int main() {
   const NetworkGraph g = topo.snapshot(0.0, opt);
   std::printf("snapshot: %zu nodes, %zu links\n", g.nodeCount(), g.linkCount());
 
-  const Route r = shortestPath(g, tokyo, saoPaulo, latencyCost());
+  const Route r = RouteEngine(g, latencyCost()).shortestPath(tokyo, saoPaulo);
   if (r.valid()) {
     std::printf("Tokyo -> Sao Paulo: %d hops, %.2f ms propagation\n", r.hops(),
                 toMilliseconds(r.propagationDelayS));

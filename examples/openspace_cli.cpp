@@ -16,7 +16,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/io/ephemeris_io.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/routing/linkstate.hpp>
 #include <openspace/topology/builder.hpp>
 
@@ -88,7 +88,7 @@ int cmdRoute(int argc, char** argv) {
   opt.nearestK = 4;
   opt.minElevationRad = deg2rad(10.0);
   const NetworkGraph g = topo.snapshot(0.0, opt);
-  const Route r = shortestPath(g, a, b, latencyCost());
+  const Route r = RouteEngine(g, latencyCost()).shortestPath(a, b);
   if (!r.valid()) {
     std::printf("no path at t=0 (site out of coverage or mesh partitioned)\n");
     return 1;

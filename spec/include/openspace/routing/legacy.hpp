@@ -3,19 +3,20 @@
 // These are the original hash-map Dijkstra / Yen implementations that
 // predate the RouteEngine (engine.hpp). They walk the NetworkGraph
 // directly, invoking the cost callback lazily per edge, and allocate their
-// search state per call. They are retained as the *executable
-// specification* the compiled CSR engine is property-tested against
-// (tests/test_route_engine.cpp asserts node-for-node, bit-for-bit route
-// equality across randomized snapshots) — use the dijkstra.hpp entry
-// points (engine-backed) everywhere else.
+// search state per call. They are the *executable specification* the
+// compiled CSR engine is property-tested against (tests/test_route_engine.cpp
+// asserts node-for-node, bit-for-bit route equality across randomized
+// snapshots), built into the test-only openspace_spec library and never
+// into openspace::openspace. Everything else routes through a RouteEngine.
 #pragma once
 
 #include <openspace/routing/route.hpp>
 
 namespace openspace::legacy {
 
-/// Reference Dijkstra shortest path (see shortestPath in dijkstra.hpp for
-/// the contract; behavior is identical by construction).
+/// Reference Dijkstra shortest path (the contract of
+/// RouteEngine::shortestPath: trivial route for src == dst, invalid Route
+/// when unreachable, NotFoundError for unknown endpoints).
 Route shortestPath(const NetworkGraph& g, NodeId src, NodeId dst,
                    const LinkCostFn& cost, ProviderId home = {});
 

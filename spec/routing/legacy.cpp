@@ -1,21 +1,17 @@
-// Public routing entry points (engine-backed adapters) plus the legacy
-// reference implementations they are property-tested against.
-//
-// The free functions below keep their original signatures but now compile
-// the snapshot into a CSR RouteEngine and query that; callers with repeated
-// queries against one snapshot should construct a RouteEngine directly and
-// amortize the compilation.
-#include <openspace/routing/dijkstra.hpp>
+// Reference (legacy) hash-map Dijkstra / Yen: the executable specification
+// RouteEngine is pinned to (see openspace/routing/legacy.hpp).
+#include <openspace/routing/legacy.hpp>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <queue>
 #include <set>
 #include <unordered_set>
 
 #include <openspace/core/assert.hpp>
 #include <openspace/geo/error.hpp>
-#include <openspace/routing/engine.hpp>
-#include <openspace/routing/legacy.hpp>
 
 namespace openspace {
 
@@ -227,32 +223,5 @@ std::vector<Route> kShortestPaths(const NetworkGraph& g, NodeId src, NodeId dst,
 }
 
 }  // namespace legacy
-
-// --- engine-backed adapters --------------------------------------------------
-
-Route shortestPath(const NetworkGraph& g, NodeId src, NodeId dst,
-                   const LinkCostFn& cost, ProviderId home) {
-  if (!g.hasNode(src) || !g.hasNode(dst)) {
-    throw NotFoundError("shortestPath: unknown endpoint node");
-  }
-  return RouteEngine(g, cost, home).shortestPath(src, dst);
-}
-
-std::unordered_map<NodeId, Route> shortestPathTree(const NetworkGraph& g,
-                                                   NodeId src,
-                                                   const LinkCostFn& cost,
-                                                   ProviderId home) {
-  if (!g.hasNode(src)) throw NotFoundError("shortestPathTree: unknown source");
-  return RouteEngine(g, cost, home).shortestPathTree(src).allRoutes();
-}
-
-std::vector<Route> kShortestPaths(const NetworkGraph& g, NodeId src, NodeId dst,
-                                  int k, const LinkCostFn& cost, ProviderId home) {
-  if (k < 1) throw InvalidArgumentError("kShortestPaths: k must be >= 1");
-  if (!g.hasNode(src) || !g.hasNode(dst)) {
-    throw NotFoundError("kShortestPaths: unknown endpoint node");
-  }
-  return RouteEngine(g, cost, home).kShortestPaths(src, dst, k);
-}
 
 }  // namespace openspace

@@ -9,6 +9,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/visibility.hpp>
+#include <openspace/routing/engine.hpp>
 
 namespace openspace {
 
@@ -140,7 +141,8 @@ AssociationResult AssociationAgent::associate(
   out.servingProvider = graph.node(satNode).provider;
 
   // RADIUS round trip rides the ISL path serving-satellite -> home gateway.
-  const Route toHome = shortestPath(graph, satNode, homeGateway, latencyCost());
+  const Route toHome =
+      RouteEngine(graph, latencyCost()).shortestPath(satNode, homeGateway);
   if (!toHome.valid()) {
     out.failureReason = "home provider unreachable over ISLs";
     state_ = AssociationState::Scanning;

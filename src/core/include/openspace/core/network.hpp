@@ -13,7 +13,7 @@
 
 #include <openspace/coverage/coverage.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/route.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {

@@ -34,11 +34,46 @@ struct NodeSeqHash {
   }
 };
 
-/// Aggregate a link's contribution to a Route's QoS fields.
-void accumulateEdge(Route& r, const CompactGraph& g, std::uint32_t e) {
-  r.propagationDelayS += g.edgePropagationDelayS(e);
-  r.queueingDelayS += g.edgeQueueingDelayS(e);
-  r.bottleneckBps = std::min(r.bottleneckBps, g.edgeCapacityBps(e));
+/// Expand the parent-edge chain from `dstIndex` back to `srcIndex` into a
+/// Route of cost `cost` (+inf: unreachable -> invalid route). The first
+/// walk counts hops so every container is sized exactly once; the second
+/// fills final positions back-to-front (no reversals) and stages the edge
+/// indices in `pathEdges`, whose capacity the caller may keep across calls.
+Route expandRoute(const CompactGraph& g,
+                  const std::vector<std::uint32_t>& parentEdge,
+                  std::uint32_t srcIndex, std::uint32_t dstIndex, double cost,
+                  std::vector<std::uint32_t>& pathEdges) {
+  Route r;
+  if (std::isinf(cost)) return r;
+  r.cost = cost;
+  std::size_t hops = 0;
+  for (std::uint32_t cur = dstIndex; cur != srcIndex;
+       cur = g.edgeSource(parentEdge[cur])) {
+    OPENSPACE_ASSERT(parentEdge[cur] != kNoEdge,
+                     "every reached node except the source has a parent");
+    ++hops;
+  }
+  r.nodes.resize(hops + 1);
+  r.links.resize(hops);
+  pathEdges.resize(hops);
+  std::uint32_t cur = dstIndex;
+  for (std::size_t i = hops; i-- > 0;) {
+    const std::uint32_t e = parentEdge[cur];
+    pathEdges[i] = e;
+    r.links[i] = g.edgeLink(e);
+    r.nodes[i + 1] = g.nodeAt(cur);
+    cur = g.edgeSource(e);
+  }
+  r.nodes[0] = g.nodeAt(srcIndex);
+  // Forward-order accumulation, matching the legacy extractRoute exactly
+  // (floating-point sums are order-sensitive; equivalence tests compare
+  // bit-for-bit).
+  for (const std::uint32_t e : pathEdges) {
+    r.propagationDelayS += g.edgePropagationDelayS(e);
+    r.queueingDelayS += g.edgeQueueingDelayS(e);
+    r.bottleneckBps = std::min(r.bottleneckBps, g.edgeCapacityBps(e));
+  }
+  return r;
 }
 
 }  // namespace
@@ -62,43 +97,9 @@ Route PathTree::routeTo(NodeId dst) const {
   if (dstIndex == CompactGraph::kInvalidIndex) {
     throw NotFoundError("PathTree::routeTo: unknown node");
   }
-  Route r;
-  if (std::isinf(dist_[dstIndex])) return r;  // unreachable -> invalid route
-  r.cost = dist_[dstIndex];
-  std::size_t hops = 0;
-  for (std::uint32_t cur = dstIndex; cur != sourceIndex_;
-       cur = csr_->edgeSource(parentEdge_[cur])) {
-    OPENSPACE_ASSERT(parentEdge_[cur] != kNoEdge,
-                     "every reached node except the source has a parent");
-    ++hops;
-  }
-  r.nodes.resize(hops + 1);
-  r.links.resize(hops);
-  std::vector<std::uint32_t> edges(hops);
-  std::uint32_t cur = dstIndex;
-  for (std::size_t i = hops; i-- > 0;) {
-    const std::uint32_t e = parentEdge_[cur];
-    edges[i] = e;
-    r.links[i] = csr_->edgeLink(e);
-    r.nodes[i + 1] = csr_->nodeAt(cur);
-    cur = csr_->edgeSource(e);
-  }
-  r.nodes[0] = csr_->nodeAt(sourceIndex_);
-  // Forward-order accumulation, matching the legacy extractRoute exactly
-  // (floating-point sums are order-sensitive; equivalence tests compare
-  // bit-for-bit).
-  for (const std::uint32_t e : edges) accumulateEdge(r, *csr_, e);
-  return r;
-}
-
-std::unordered_map<NodeId, Route> PathTree::allRoutes() const {
-  OPENSPACE_ASSERT(valid(), "allRoutes on a default-constructed PathTree");
-  std::unordered_map<NodeId, Route> out;
-  for (std::uint32_t i = 0; i < dist_.size(); ++i) {
-    if (std::isinf(dist_[i])) continue;
-    out.emplace(csr_->nodeAt(i), routeTo(csr_->nodeAt(i)));
-  }
-  return out;
+  std::vector<std::uint32_t> pathEdges;
+  return expandRoute(*csr_, parentEdge_, sourceIndex_, dstIndex,
+                     dist_[dstIndex], pathEdges);
 }
 
 // --- RouteEngine -------------------------------------------------------------
@@ -153,36 +154,8 @@ void RouteEngine::runDijkstra(std::uint32_t srcIndex, std::uint32_t stopAtIndex,
 Route RouteEngine::extractFromScratch(std::uint32_t srcIndex,
                                       std::uint32_t dstIndex,
                                       RouteScratch& scratch) const {
-  const CompactGraph& g = *csr_;
-  Route r;
-  const double d = scratch.dist.getOr(dstIndex, kInf);
-  if (std::isinf(d)) return r;  // unreachable -> invalid route
-  r.cost = d;
-  // First walk counts hops so every container is sized exactly once; the
-  // second fills final positions back-to-front (no reversals, and the edge
-  // staging buffer lives in the scratch arena).
-  std::size_t hops = 0;
-  for (std::uint32_t cur = dstIndex; cur != srcIndex;
-       cur = g.edgeSource(scratch.parentEdge[cur])) {
-    ++hops;
-  }
-  r.nodes.resize(hops + 1);
-  r.links.resize(hops);
-  scratch.pathEdges.resize(hops);
-  std::uint32_t cur = dstIndex;
-  for (std::size_t i = hops; i-- > 0;) {
-    const std::uint32_t e = scratch.parentEdge[cur];
-    scratch.pathEdges[i] = e;
-    r.links[i] = g.edgeLink(e);
-    r.nodes[i + 1] = g.nodeAt(cur);
-    cur = g.edgeSource(e);
-  }
-  r.nodes[0] = g.nodeAt(srcIndex);
-  // Forward-order accumulation, matching the legacy extractRoute exactly
-  // (floating-point sums are order-sensitive; equivalence tests compare
-  // bit-for-bit).
-  for (const std::uint32_t e : scratch.pathEdges) accumulateEdge(r, g, e);
-  return r;
+  return expandRoute(*csr_, scratch.parentEdge, srcIndex, dstIndex,
+                     scratch.dist.getOr(dstIndex, kInf), scratch.pathEdges);
 }
 
 Route RouteEngine::shortestPath(NodeId src, NodeId dst) const {

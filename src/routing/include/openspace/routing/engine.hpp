@@ -1,13 +1,13 @@
 // RouteEngine: compiled-snapshot routing with reusable scratch arenas.
 //
-// The legacy entry points in dijkstra.hpp walk the hash-map NetworkGraph
-// through a std::function cost callback per edge and allocate fresh map/set
-// state per query. RouteEngine is the production path: it compiles the
-// snapshot once into an immutable CSR adjacency (topology/compact_graph.hpp)
-// with per-edge precomputed cost/delay/capacity, then answers any number of
-// queries over generation-stamped scratch arrays and a reusable d-ary heap —
-// zero allocation per query once warmed up, no std::function or hash lookup
-// in the hot loop.
+// RouteEngine is the library's only shortest-path entry point: a caller
+// compiles one engine per (snapshot, cost model) and queries it as often as
+// it likes. Compilation turns the snapshot into an immutable CSR adjacency
+// (topology/compact_graph.hpp) with per-edge precomputed cost/delay/capacity;
+// queries then run over generation-stamped scratch arrays and a reusable
+// d-ary heap — zero allocation per query once warmed up, no std::function or
+// hash lookup in the hot loop. The hash-map Dijkstra / Yen it replaced live
+// on as the test-only executable spec (openspace::legacy, spec/routing/).
 //
 // Determinism contract: every query is a pure function of the compiled
 // graph. The heap breaks distance ties by dense node index (== NetworkGraph
@@ -64,8 +64,6 @@ class PathTree {
   /// Full route to `dst`; invalid Route when unreachable. Throws
   /// NotFoundError for nodes absent from the snapshot.
   Route routeTo(NodeId dst) const;
-  /// Legacy-shaped materialization: every reachable node -> Route.
-  std::unordered_map<NodeId, Route> allRoutes() const;
 
   /// Flat views by dense node index (for checksums / bulk consumers).
   const std::vector<double>& distByIndex() const noexcept { return dist_; }
@@ -107,9 +105,11 @@ class RouteEngine {
   /// Adopt an already-compiled graph (shared with PathTrees it produces).
   explicit RouteEngine(std::shared_ptr<const CompactGraph> graph);
 
-  /// Dijkstra with early exit at `dst`. Same contract as the legacy free
-  /// function: trivial route for src == dst, invalid Route when
-  /// unreachable, NotFoundError for unknown endpoints.
+  /// Dijkstra with early exit at `dst`: trivial route (cost 0, infinite
+  /// bottleneck) for src == dst, invalid Route when unreachable,
+  /// NotFoundError for unknown endpoints. Compilation validates the cost
+  /// model first, so a negative/NaN cost throws InvalidArgumentError from
+  /// the constructor, before any endpoint is looked up.
   Route shortestPath(NodeId src, NodeId dst) const;
 
   /// Full single-source tree as a compact PathTree.

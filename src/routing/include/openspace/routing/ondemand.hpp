@@ -8,10 +8,11 @@
 // at request time instead of a precomputed table, trading lookup cost for
 // adaptivity. §5(2)'s ground-station offload question is answered by
 // selectGroundStation(): route to a farther but idle gateway when the
-// detour beats the queueing.
+// detour beats the queueing. Every request compiles a RouteEngine over the
+// graph as it stands at that moment — the price of reading live state.
 #pragma once
 
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/route.hpp>
 
 namespace openspace {
 
@@ -38,14 +39,5 @@ class OnDemandRouter {
   LinkCostFn cost_;
   ProviderId home_;
 };
-
-/// Apply an M/M/1-style queueing delay estimate to a link given its
-/// current utilization in [0, 1): delay = serviceTime * rho / (1 - rho),
-/// with serviceTime approximated by one MTU at link capacity. Utilization
-/// >= 1 saturates to `maxDelayS`. Used by the simulator to refresh live
-/// queueing state from traffic counters.
-double estimateQueueingDelayS(double utilization, double capacityBps,
-                              double mtuBits = 12'000.0,
-                              double maxDelayS = 2.0);
 
 }  // namespace openspace

@@ -1,6 +1,9 @@
 #include <openspace/routing/ondemand.hpp>
 
-#include <openspace/geo/error.hpp>
+#include <cmath>
+#include <limits>
+
+#include <openspace/routing/engine.hpp>
 
 namespace openspace {
 
@@ -9,38 +12,28 @@ OnDemandRouter::OnDemandRouter(const NetworkGraph& graph, LinkCostFn cost,
     : graph_(graph), cost_(std::move(cost)), home_(home) {}
 
 Route OnDemandRouter::route(NodeId src, NodeId dst) const {
-  return shortestPath(graph_, src, dst, cost_, home_);
+  return RouteEngine(graph_, cost_, home_).shortestPath(src, dst);
 }
 
 std::vector<Route> OnDemandRouter::alternatives(NodeId src, NodeId dst,
                                                 int k) const {
-  return kShortestPaths(graph_, src, dst, k, cost_, home_);
+  return RouteEngine(graph_, cost_, home_).kShortestPaths(src, dst, k);
 }
 
 Route OnDemandRouter::selectGroundStation(NodeId src) const {
-  const auto tree = shortestPathTree(graph_, src, cost_, home_);
-  Route best;
+  const PathTree tree = RouteEngine(graph_, cost_, home_).shortestPathTree(src);
+  // Strictly cheaper wins, so equal-cost stations keep the first in
+  // nodesOfKind() order.
+  NodeId best{};
+  double bestCost = std::numeric_limits<double>::infinity();
   for (const NodeId gs : graph_.nodesOfKind(NodeKind::GroundStation)) {
-    const auto it = tree.find(gs);
-    if (it != tree.end() && it->second.valid() && it->second.cost < best.cost) {
-      best = it->second;
+    const double c = tree.costTo(gs);
+    if (c < bestCost) {
+      best = gs;
+      bestCost = c;
     }
   }
-  return best;
-}
-
-double estimateQueueingDelayS(double utilization, double capacityBps,
-                              double mtuBits, double maxDelayS) {
-  if (capacityBps <= 0.0 || mtuBits <= 0.0) {
-    throw InvalidArgumentError("estimateQueueingDelayS: non-positive inputs");
-  }
-  if (utilization < 0.0) {
-    throw InvalidArgumentError("estimateQueueingDelayS: negative utilization");
-  }
-  const double serviceS = mtuBits / capacityBps;
-  if (utilization >= 1.0) return maxDelayS;
-  const double d = serviceS * utilization / (1.0 - utilization);
-  return std::min(d, maxDelayS);
+  return std::isinf(bestCost) ? Route{} : tree.routeTo(best);
 }
 
 }  // namespace openspace

@@ -5,7 +5,6 @@
 
 #include <openspace/geo/error.hpp>
 #include <openspace/routing/engine.hpp>
-#include <openspace/routing/ondemand.hpp>
 #include <openspace/sim/flow_sim.hpp>
 
 namespace openspace {

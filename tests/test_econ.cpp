@@ -4,7 +4,7 @@
 
 #include <openspace/econ/capex.hpp>
 #include <openspace/econ/ledger.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 
@@ -63,7 +63,7 @@ class SettlementTest : public ::testing::Test {
     addLink(NodeId{1}, NodeId{2});
     addLink(NodeId{2}, NodeId{3});
     addLink(NodeId{3}, NodeId{4});
-    route_ = shortestPath(g_, NodeId{1}, NodeId{4}, latencyCost());
+    route_ = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{4});
   }
   NetworkGraph g_;
   Route route_;

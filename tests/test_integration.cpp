@@ -8,6 +8,7 @@
 #include <openspace/handover/handover.hpp>
 #include <openspace/isl/fleet.hpp>
 #include <openspace/net/forwarding.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/routing/ondemand.hpp>
 #include <openspace/routing/proactive.hpp>
 #include <openspace/sim/scenario.hpp>
@@ -91,7 +92,8 @@ TEST(Integration, HandoverPreservesServiceAndRoutes) {
   const double after = plan.serviceEndsAtS + 0.1;
   const NetworkGraph g = s.snapshot(after);
   const NodeId succNode = s.topology().nodeOf(plan.successor);
-  const Route r = shortestPath(g, succNode, s.stationNode(0), latencyCost());
+  const Route r =
+      RouteEngine(g, latencyCost()).shortestPath(succNode, s.stationNode(0));
   EXPECT_TRUE(r.valid());
 }
 
@@ -200,8 +202,8 @@ TEST(Integration, MultiProviderPathCrossesOwnershipDomains) {
   cfg.seed = 51;
   Scenario s(cfg);
   const NetworkGraph g = s.snapshot(0.0);
-  const Route r =
-      shortestPath(g, s.userNode(0), s.stationNode(0), latencyCost());
+  const Route r = RouteEngine(g, latencyCost())
+                      .shortestPath(s.userNode(0), s.stationNode(0));
   ASSERT_TRUE(r.valid());
   std::set<ProviderId> owners;
   for (const NodeId n : r.nodes) owners.insert(g.node(n).provider);

@@ -6,7 +6,7 @@
 #include <openspace/geo/rng.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/net/flow_generator.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/net/forwarding.hpp>
 
 namespace openspace {
@@ -124,7 +124,7 @@ class LineGraph : public ::testing::Test {
     }
     slow_ = addLink(NodeId{1}, NodeId{2}, 1e6);   // 1 Mbps
     fast_ = addLink(NodeId{2}, NodeId{3}, 100e6); // 100 Mbps
-    route_ = shortestPath(g_, NodeId{1}, NodeId{3}, latencyCost());
+    route_ = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{3});
   }
 
   LinkId addLink(NodeId a, NodeId b, double cap) {

@@ -10,7 +10,7 @@
 #include <openspace/geo/wgs84.hpp>
 #include <openspace/orbit/visibility.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {
@@ -212,7 +212,8 @@ TEST_P(DijkstraOptimality, MatchesBruteForceEnumeration) {
   };
   dfs(NodeId{1}, 0.0);
 
-  const Route r = shortestPath(g, NodeId{1}, NodeId{static_cast<NodeId::rep_type>(n)}, latencyCost());
+  const Route r = RouteEngine(g, latencyCost())
+                      .shortestPath(NodeId{1}, NodeId{static_cast<NodeId::rep_type>(n)});
   if (std::isinf(best)) {
     ASSERT_FALSE(r.valid());
   } else {
@@ -243,7 +244,7 @@ TEST_P(YenProperties, Holds) {
   const NodeId dst = sats[static_cast<std::size_t>(
       rng.uniformInt(0, static_cast<std::int64_t>(sats.size()) - 1))];
   if (src == dst) return;
-  const auto routes = kShortestPaths(g, src, dst, 5, latencyCost());
+  const auto routes = RouteEngine(g, latencyCost()).kShortestPaths(src, dst, 5);
   ASSERT_FALSE(routes.empty());
   std::set<std::vector<NodeId>> unique;
   double prevCost = 0.0;

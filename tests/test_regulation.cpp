@@ -6,7 +6,7 @@
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
 #include <openspace/regulation/regime.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/topology/builder.hpp>
 
 namespace openspace {
@@ -110,29 +110,31 @@ class ComplianceRouting : public ::testing::Test {
 };
 
 TEST_F(ComplianceRouting, ApacUserMayOnlyEgressLocally) {
-  const LinkCostFn cost =
-      complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/3);
+  const RouteEngine engine(
+      graph_, complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/3));
   // Route to the local gateway exists.
-  const Route local = shortestPath(graph_, user_, gwApac_, cost);
+  const Route local = engine.shortestPath(user_, gwApac_);
   EXPECT_TRUE(local.valid());
   // Foreign gateways are unreachable under APAC's localization rule.
-  EXPECT_FALSE(shortestPath(graph_, user_, gwAmericas_, cost).valid());
-  EXPECT_FALSE(shortestPath(graph_, user_, gwEmea_, cost).valid());
+  EXPECT_FALSE(engine.shortestPath(user_, gwAmericas_).valid());
+  EXPECT_FALSE(engine.shortestPath(user_, gwEmea_).valid());
 }
 
 TEST_F(ComplianceRouting, AmericasUserMayUseEmeaGateways) {
-  const LinkCostFn cost =
-      complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/1);
-  EXPECT_TRUE(shortestPath(graph_, user_, gwAmericas_, cost).valid());
-  EXPECT_TRUE(shortestPath(graph_, user_, gwEmea_, cost).valid());
-  EXPECT_FALSE(shortestPath(graph_, user_, gwApac_, cost).valid());
+  const RouteEngine engine(
+      graph_, complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/1));
+  EXPECT_TRUE(engine.shortestPath(user_, gwAmericas_).valid());
+  EXPECT_TRUE(engine.shortestPath(user_, gwEmea_).valid());
+  EXPECT_FALSE(engine.shortestPath(user_, gwApac_).valid());
 }
 
 TEST_F(ComplianceRouting, ComplianceNeverBeatsUnconstrainedLatency) {
-  const LinkCostFn cost =
-      complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/3);
-  const Route constrained = shortestPath(graph_, user_, gwApac_, cost);
-  const Route free = shortestPath(graph_, user_, gwApac_, latencyCost());
+  const Route constrained =
+      RouteEngine(graph_,
+                  complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/3))
+          .shortestPath(user_, gwApac_);
+  const Route free =
+      RouteEngine(graph_, latencyCost()).shortestPath(user_, gwApac_);
   ASSERT_TRUE(constrained.valid());
   ASSERT_TRUE(free.valid());
   EXPECT_GE(constrained.propagationDelayS, free.propagationDelayS - 1e-12);
@@ -146,11 +148,11 @@ TEST_F(ComplianceRouting, BandPolicyBlocksUnlicensedGroundLinks) {
     Link& l = kaGraph.link(lid);
     if (l.type == LinkType::Gsl) l.band = Band::Ka;
   }
-  const LinkCostFn cost =
-      complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/1);
-  EXPECT_FALSE(shortestPath(kaGraph, user_, gwEmea_, cost).valid());
+  const RouteEngine engine(
+      kaGraph, complianceConstrainedCost(latencyCost(), regime_, /*userRegion=*/1));
+  EXPECT_FALSE(engine.shortestPath(user_, gwEmea_).valid());
   // Americas licenses Ka, so its gateway still works.
-  EXPECT_TRUE(shortestPath(kaGraph, user_, gwAmericas_, cost).valid());
+  EXPECT_TRUE(engine.shortestPath(user_, gwAmericas_).valid());
 }
 
 TEST_F(ComplianceRouting, IslsAreNeverRegulated) {

@@ -1,10 +1,16 @@
-// Unit tests for the routing module: cost models, Dijkstra, Yen k-shortest,
-// proactive tables, congestion-aware on-demand routing.
+// Unit tests for the routing module: cost models, the RouteEngine's point,
+// tree and Yen queries and their error contract, proactive tables,
+// congestion-aware on-demand routing.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/routing/ondemand.hpp>
 #include <openspace/routing/proactive.hpp>
 
@@ -61,7 +67,7 @@ class DiamondGraph : public ::testing::Test {
 };
 
 TEST_F(DiamondGraph, ShortestPathPicksLowLatency) {
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{4}, NodeId{5}}));
   EXPECT_EQ(r.hops(), 3);
@@ -73,7 +79,8 @@ TEST_F(DiamondGraph, BandwidthWeightFlipsChoice) {
   CostWeights w;
   w.latencyWeight = 1.0;
   w.bandwidthWeight = 1e6;  // 0.1 cost on 10 Mbps links vs 0.01 on 100 Mbps
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(w));
+  const Route r =
+      RouteEngine(g_, makeCostFunction(w)).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
   EXPECT_DOUBLE_EQ(r.bottleneckBps, 100e6);
@@ -85,14 +92,15 @@ TEST_F(DiamondGraph, TariffWeightAvoidsExpensiveLinks) {
   CostWeights w;
   w.latencyWeight = 1.0;
   w.tariffWeight = 50.0;
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(w));
+  const Route r =
+      RouteEngine(g_, makeCostFunction(w)).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
 }
 
 TEST_F(DiamondGraph, QueueingDelayStealsTraffic) {
   g_.link(top1_).queueingDelayS = 0.050;  // hot link
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
   EXPECT_DOUBLE_EQ(r.queueingDelayS, 0.0);
@@ -104,29 +112,50 @@ TEST_F(DiamondGraph, ForeignPenaltySteersTowardHomeAssets) {
   CostWeights w;
   w.latencyWeight = 1.0;
   w.foreignPenalty = 0.1;
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(w), /*home=*/ProviderId{10});
+  const RouteEngine engine(g_, makeCostFunction(w), /*home=*/ProviderId{10});
+  const Route r = engine.shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
 }
 
 TEST_F(DiamondGraph, PremiumRequiresLaser) {
   // All links are RF: a Premium flow that mandates laser finds no path.
-  const Route r =
-      shortestPath(g_, NodeId{1}, NodeId{5}, makeCostFunction(CostWeights::forQos(QosClass::Premium)));
-  EXPECT_FALSE(r.valid());
+  const RouteEngine engine(
+      g_, makeCostFunction(CostWeights::forQos(QosClass::Premium)));
+  EXPECT_FALSE(engine.shortestPath(NodeId{1}, NodeId{5}).valid());
 }
 
 TEST_F(DiamondGraph, SameSourceAndDestination) {
-  const Route r = shortestPath(g_, NodeId{3}, NodeId{3}, latencyCost());
+  const Route r = RouteEngine(g_, latencyCost()).shortestPath(NodeId{3}, NodeId{3});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.hops(), 0);
+  EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{3}}));
   EXPECT_DOUBLE_EQ(r.cost, 0.0);
+  EXPECT_DOUBLE_EQ(r.propagationDelayS, 0.0);
+  EXPECT_TRUE(std::isinf(r.bottleneckBps));
 }
 
 TEST_F(DiamondGraph, UnknownEndpointsThrow) {
-  EXPECT_THROW(shortestPath(g_, NodeId{1}, NodeId{99}, latencyCost()), NotFoundError);
-  EXPECT_THROW(shortestPath(g_, NodeId{99}, NodeId{1}, latencyCost()), NotFoundError);
-  EXPECT_THROW(shortestPathTree(g_, NodeId{99}, latencyCost()), NotFoundError);
+  const RouteEngine engine(g_, latencyCost());
+  EXPECT_THROW(engine.shortestPath(NodeId{1}, NodeId{99}), NotFoundError);
+  EXPECT_THROW(engine.shortestPath(NodeId{99}, NodeId{1}), NotFoundError);
+  EXPECT_THROW(engine.shortestPathTree(NodeId{99}), NotFoundError);
+  EXPECT_THROW(engine.kShortestPaths(NodeId{1}, NodeId{99}, 3), NotFoundError);
+  EXPECT_THROW(engine.kShortestPaths(NodeId{99}, NodeId{1}, 3), NotFoundError);
+}
+
+TEST_F(DiamondGraph, BadCostThrowsBeforeEndpointLookup) {
+  // The engine validates the cost model when it compiles, before any query
+  // looks up an endpoint: a bad cost wins over an unknown node.
+  const LinkCostFn bad = [](const NetworkGraph&, const Link&, ProviderId) {
+    return -1.0;
+  };
+  EXPECT_THROW(RouteEngine(g_, bad).shortestPath(NodeId{1}, NodeId{99}),
+               InvalidArgumentError);
+  EXPECT_THROW(RouteEngine(g_, bad).shortestPathTree(NodeId{99}),
+               InvalidArgumentError);
+  EXPECT_THROW(RouteEngine(g_, bad).kShortestPaths(NodeId{99}, NodeId{1}, 0),
+               InvalidArgumentError);
 }
 
 TEST_F(DiamondGraph, UnreachableGivesInvalidRoute) {
@@ -137,24 +166,31 @@ TEST_F(DiamondGraph, UnreachableGivesInvalidRoute) {
   lonely.name = "lonely";
   lonely.location = Geodetic::fromDegrees(0, 0);
   g_.addNode(std::move(lonely));
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{42}, latencyCost());
-  EXPECT_FALSE(r.valid());
+  const RouteEngine engine(g_, latencyCost());
+  EXPECT_FALSE(engine.shortestPath(NodeId{1}, NodeId{42}).valid());
+  const PathTree tree = engine.shortestPathTree(NodeId{1});
+  EXPECT_FALSE(tree.reaches(NodeId{42}));
+  EXPECT_FALSE(tree.routeTo(NodeId{42}).valid());
 }
 
 TEST_F(DiamondGraph, ShortestPathTreeCoversComponent) {
-  const auto tree = shortestPathTree(g_, NodeId{1}, latencyCost());
-  EXPECT_EQ(tree.size(), 5u);  // all five nodes reachable
-  EXPECT_EQ(tree.at(NodeId{5}).nodes.front(), NodeId{1u});
-  EXPECT_EQ(tree.at(NodeId{5}).nodes.back(), NodeId{5u});
+  const PathTree tree = RouteEngine(g_, latencyCost()).shortestPathTree(NodeId{1});
+  const auto& dist = tree.distByIndex();
+  EXPECT_EQ(std::count_if(dist.begin(), dist.end(),
+                          [](double d) { return std::isfinite(d); }),
+            5);  // all five nodes reachable
+  const Route r4 = tree.routeTo(NodeId{4});
+  const Route r5 = tree.routeTo(NodeId{5});
+  EXPECT_EQ(r5.nodes.front(), NodeId{1u});
+  EXPECT_EQ(r5.nodes.back(), NodeId{5u});
   // Subpath optimality: the tree's route to 4 is a prefix of the one to 5.
-  const auto& r4 = tree.at(NodeId{4});
-  const auto& r5 = tree.at(NodeId{5});
   ASSERT_EQ(r5.nodes.size(), r4.nodes.size() + 1);
   EXPECT_TRUE(std::equal(r4.nodes.begin(), r4.nodes.end(), r5.nodes.begin()));
 }
 
 TEST_F(DiamondGraph, KShortestFindsBothDiamondArms) {
-  const auto routes = kShortestPaths(g_, NodeId{1}, NodeId{5}, 3, latencyCost());
+  const auto routes =
+      RouteEngine(g_, latencyCost()).kShortestPaths(NodeId{1}, NodeId{5}, 3);
   ASSERT_EQ(routes.size(), 2u);  // only two simple paths exist
   EXPECT_EQ(routes[0].nodes, (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{4}, NodeId{5}}));
   EXPECT_EQ(routes[1].nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
@@ -162,8 +198,9 @@ TEST_F(DiamondGraph, KShortestFindsBothDiamondArms) {
 }
 
 TEST_F(DiamondGraph, KShortestValidation) {
-  EXPECT_THROW(kShortestPaths(g_, NodeId{1}, NodeId{5}, 0, latencyCost()),
-               InvalidArgumentError);
+  EXPECT_THROW(
+      RouteEngine(g_, latencyCost()).kShortestPaths(NodeId{1}, NodeId{5}, 0),
+      InvalidArgumentError);
   // Unreachable destination: empty result, not a throw.
   Node lonely;
   lonely.id = NodeId{42};
@@ -172,14 +209,22 @@ TEST_F(DiamondGraph, KShortestValidation) {
   lonely.name = "l";
   lonely.location = Geodetic::fromDegrees(0, 0);
   g_.addNode(std::move(lonely));
-  EXPECT_TRUE(kShortestPaths(g_, NodeId{1}, NodeId{42}, 3, latencyCost()).empty());
+  const RouteEngine engine(g_, latencyCost());
+  EXPECT_TRUE(engine.kShortestPaths(NodeId{1}, NodeId{42}, 3).empty());
+  // k < 1 is rejected before the endpoints are looked up.
+  EXPECT_THROW(engine.kShortestPaths(NodeId{1}, NodeId{99}, -1),
+               InvalidArgumentError);
 }
 
 TEST_F(DiamondGraph, NegativeCostRejected) {
   const LinkCostFn bad = [](const NetworkGraph&, const Link&, ProviderId) {
     return -1.0;
   };
-  EXPECT_THROW(shortestPath(g_, NodeId{1}, NodeId{5}, bad), InvalidArgumentError);
+  EXPECT_THROW(RouteEngine(g_, bad), InvalidArgumentError);
+  const LinkCostFn nan = [](const NetworkGraph&, const Link&, ProviderId) {
+    return std::numeric_limits<double>::quiet_NaN();
+  };
+  EXPECT_THROW(RouteEngine(g_, nan), InvalidArgumentError);
 }
 
 TEST_F(DiamondGraph, InfiniteCostForbidsLink) {
@@ -188,7 +233,7 @@ TEST_F(DiamondGraph, InfiniteCostForbidsLink) {
     if (l.id == top1_) return std::numeric_limits<double>::infinity();
     return l.totalDelayS();
   };
-  const Route r = shortestPath(g_, NodeId{1}, NodeId{5}, noTop);
+  const Route r = RouteEngine(g_, noTop).shortestPath(NodeId{1}, NodeId{5});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}, NodeId{5}}));
 }

@@ -5,7 +5,7 @@
 #include <openspace/econ/ledger.hpp>
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/security/crypto.hpp>
 #include <openspace/security/reputation.hpp>
 
@@ -234,7 +234,7 @@ TEST(QuarantineRouting, CutsOffBadActorsLinks) {
   const LinkCostFn cost = quarantineAwareCost(latencyCost(), rep);
 
   // Trusted network: short path via provider 2 wins.
-  Route r = shortestPath(g, NodeId{1}, NodeId{4}, cost);
+  Route r = RouteEngine(g, cost).shortestPath(NodeId{1}, NodeId{4});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{4}}));
 
@@ -242,7 +242,7 @@ TEST(QuarantineRouting, CutsOffBadActorsLinks) {
   for (int i = 0; i < 12; ++i) {
     rep.reportMisbehavior(ProviderId{2}, MisbehaviorKind::Interception);
   }
-  r = shortestPath(g, NodeId{1}, NodeId{4}, cost);
+  r = RouteEngine(g, cost).shortestPath(NodeId{1}, NodeId{4});
   ASSERT_TRUE(r.valid());
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{NodeId{1}, NodeId{3}, NodeId{4}}));
 
@@ -250,7 +250,7 @@ TEST(QuarantineRouting, CutsOffBadActorsLinks) {
   for (int i = 0; i < 12; ++i) {
     rep.reportMisbehavior(ProviderId{3}, MisbehaviorKind::Interception);
   }
-  EXPECT_FALSE(shortestPath(g, NodeId{1}, NodeId{4}, cost).valid());
+  EXPECT_FALSE(RouteEngine(g, cost).shortestPath(NodeId{1}, NodeId{4}).valid());
 }
 
 }  // namespace

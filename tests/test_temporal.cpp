@@ -5,7 +5,7 @@
 #include <openspace/geo/error.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/orbit/walker.hpp>
-#include <openspace/routing/dijkstra.hpp>
+#include <openspace/routing/engine.hpp>
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/routing/temporal.hpp>
 
@@ -44,7 +44,7 @@ TEST_F(DenseConstellation, ImmediateDeliveryWhenPathExists) {
   EXPECT_GT(r.hops, 0);
   // Arrival time equals the instantaneous shortest path delay.
   const NetworkGraph g = topo_->snapshot(0.0, denseOpts());
-  const Route instant = shortestPath(g, user_, gw_, latencyCost());
+  const Route instant = RouteEngine(g, latencyCost()).shortestPath(user_, gw_);
   ASSERT_TRUE(instant.valid());
   EXPECT_NEAR(r.totalDelayS(), instant.totalDelayS(), 1e-6);
 }
@@ -93,7 +93,7 @@ TEST_F(SparseConstellation, NoInstantaneousPathExists) {
   bool everInstant = false;
   for (double t = 0.0; t < 6'000.0; t += 100.0) {
     const NetworkGraph g = topo_->snapshot(t, opt);
-    if (shortestPath(g, siteA_, siteB_, latencyCost()).valid()) {
+    if (RouteEngine(g, latencyCost()).shortestPath(siteA_, siteB_).valid()) {
       everInstant = true;
       break;
     }
@@ -195,7 +195,7 @@ TEST_F(DenseConstellation, DepartureExactlyAtIntervalEdge) {
   EXPECT_EQ(r.intervalsUsed, 2);
   EXPECT_NEAR(r.waitingS, 0.0, 1e-9);
   const NetworkGraph g = topo_->snapshot(60.0, denseOpts());
-  const Route instant = shortestPath(g, user_, gw_, latencyCost());
+  const Route instant = RouteEngine(g, latencyCost()).shortestPath(user_, gw_);
   ASSERT_TRUE(instant.valid());
   EXPECT_NEAR(r.totalDelayS(), instant.totalDelayS(), 1e-9);
 }
