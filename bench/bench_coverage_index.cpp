@@ -47,6 +47,8 @@
 #include <openspace/orbit/snapshot.hpp>
 #include <openspace/orbit/walker.hpp>
 
+#include "bench_record.hpp"
+
 namespace {
 
 using namespace openspace;
@@ -334,12 +336,6 @@ int main(int argc, char** argv) {
       assoc66Par.checksum == assoc66Serial.checksum;
   const bool assoc1000ThreadInvariant =
       assoc1000Par.checksum == assoc1000Serial.checksum;
-  const bool allMatch = kernel66Match && kernel1000Match && mc66Match &&
-                        mc1000Match && mc66ThreadInvariant &&
-                        mc1000ThreadInvariant && assoc66Match &&
-                        assoc1000Match && assoc66ThreadInvariant &&
-                        assoc1000ThreadInvariant;
-
   const auto speedup = [](const Timed& brute, const Timed& fast) {
     return fast.bestPassS > 0.0 ? brute.bestPassS / fast.bestPassS : 0.0;
   };
@@ -404,60 +400,50 @@ int main(int argc, char** argv) {
                   : "MISMATCH");
 
   const double wallS = nowS() - wallStartS;
-  if (std::FILE* f = std::fopen(jsonPath, "w")) {
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"coverage_index\",\n"
-        "  \"wall_seconds\": %.6f,\n"
-        "  \"threads\": %d,\n"
-        "  \"scale\": %.4f,\n"
-        "  \"mc_steps\": %d,\n"
-        "  \"mc66_samples\": %d,\n"
-        "  \"kernel_samples\": %d,\n"
-        "  \"assoc_users\": %zu,\n"
-        "  \"kernel66_brute_s\": %.6f,\n"
-        "  \"kernel66_indexed_s\": %.6f,\n"
-        "  \"kernel66_index_build_s\": %.6f,\n"
-        "  \"kernel1000_brute_s\": %.6f,\n"
-        "  \"kernel1000_indexed_s\": %.6f,\n"
-        "  \"kernel1000_index_build_s\": %.6f,\n"
-        "  \"mc66_brute_s\": %.6f,\n"
-        "  \"mc66_indexed_s\": %.6f,\n"
-        "  \"mc66_parallel_s\": %.6f,\n"
-        "  \"mc1000_brute_s\": %.6f,\n"
-        "  \"mc1000_indexed_s\": %.6f,\n"
-        "  \"mc1000_parallel_s\": %.6f,\n"
-        "  \"assoc66_brute_s\": %.6f,\n"
-        "  \"assoc66_indexed_s\": %.6f,\n"
-        "  \"assoc66_parallel_s\": %.6f,\n"
-        "  \"assoc1000_brute_full_s\": %.6f,\n"
-        "  \"assoc1000_indexed_s\": %.6f,\n"
-        "  \"assoc1000_parallel_s\": %.6f,\n"
-        "  \"speedup_kernel66\": %.3f,\n"
-        "  \"speedup_kernel1000\": %.3f,\n"
-        "  \"speedup_mc66\": %.3f,\n"
-        "  \"speedup_mc1000\": %.3f,\n"
-        "  \"speedup_assoc66\": %.3f,\n"
-        "  \"speedup_assoc1000\": %.3f,\n"
-        "  \"kernel66_checksum\": \"%016llx\",\n"
-        "  \"mc66_checksum\": \"%016llx\",\n"
-        "  \"assoc66_checksum\": \"%016llx\",\n"
-        "  \"checksums_match\": %s\n}\n",
-        wallS, parThreads, scale, mcSteps, mc66Samples, kernelSamples,
-        users.size(), k66.brute.bestPassS, k66.indexed.bestPassS,
-        k66.indexBuildS, k1000.brute.bestPassS, k1000.indexed.bestPassS,
-        k1000.indexBuildS,
-        mc66Brute.bestPassS, mc66Indexed.bestPassS, mc66Par.bestPassS,
-        mc1000Brute.bestPassS, mc1000Indexed.bestPassS, mc1000Par.bestPassS,
-        assoc66Brute.bestPassS, assoc66Serial.bestPassS, assoc66Par.bestPassS,
-        assoc1000BruteFullS, assoc1000Serial.bestPassS, assoc1000Par.bestPassS,
-        spKernel66, spKernel1000, spMc66, spMc1000, spAssoc66, spAssoc1000,
-        static_cast<unsigned long long>(k66.indexed.checksum),
-        static_cast<unsigned long long>(mc66Indexed.checksum),
-        static_cast<unsigned long long>(assoc66Serial.checksum),
-        allMatch ? "true" : "false");
-    std::fclose(f);
-    std::printf("# json: %s\n", jsonPath);
-  }
-  return allMatch ? 0 : 1;
+  bench::BenchRecord rec("coverage_index", scale);
+  rec.count("mc_steps", mcSteps);
+  rec.count("mc66_samples", mc66Samples);
+  rec.count("kernel_samples", kernelSamples);
+  rec.count("assoc_users", users.size());
+  rec.metric("kernel66_brute_s", k66.brute.bestPassS, "s");
+  rec.metric("kernel66_indexed_s", k66.indexed.bestPassS, "s").compare();
+  rec.metric("kernel66_index_build_s", k66.indexBuildS, "s");
+  rec.metric("kernel1000_brute_s", k1000.brute.bestPassS, "s");
+  rec.metric("kernel1000_indexed_s", k1000.indexed.bestPassS, "s").compare();
+  rec.metric("kernel1000_index_build_s", k1000.indexBuildS, "s");
+  rec.metric("mc66_brute_s", mc66Brute.bestPassS, "s");
+  rec.metric("mc66_indexed_s", mc66Indexed.bestPassS, "s").compare();
+  rec.metric("mc66_parallel_s", mc66Par.bestPassS, "s").compare();
+  rec.metric("mc1000_brute_s", mc1000Brute.bestPassS, "s");
+  rec.metric("mc1000_indexed_s", mc1000Indexed.bestPassS, "s").compare();
+  rec.metric("mc1000_parallel_s", mc1000Par.bestPassS, "s");
+  rec.metric("assoc66_brute_s", assoc66Brute.bestPassS, "s");
+  rec.metric("assoc66_indexed_s", assoc66Serial.bestPassS, "s").compare();
+  rec.metric("assoc66_parallel_s", assoc66Par.bestPassS, "s").compare();
+  rec.metric("assoc1000_brute_full_s", assoc1000BruteFullS, "s");
+  rec.metric("assoc1000_indexed_s", assoc1000Serial.bestPassS, "s").compare();
+  rec.metric("assoc1000_parallel_s", assoc1000Par.bestPassS, "s").compare();
+  // The index's reason to exist: the fig2c-style query kernel and the
+  // association fan-out stay well ahead of the brute specs at any scale.
+  rec.metric("speedup_kernel66", spKernel66, "x", 3).floor(4.0);
+  rec.metric("speedup_kernel1000", spKernel1000, "x", 3).floor(6.0);
+  rec.metric("speedup_mc66", spMc66, "x", 3);
+  rec.metric("speedup_mc1000", spMc1000, "x", 3);
+  rec.metric("speedup_assoc66", spAssoc66, "x", 3).floor(3.0);
+  rec.metric("speedup_assoc1000", spAssoc1000, "x", 3).floor(8.0);
+  rec.checksum("kernel66_checksum", k66.indexed.checksum);
+  rec.checksum("mc66_checksum", mc66Indexed.checksum);
+  rec.checksum("assoc66_checksum", assoc66Serial.checksum);
+  rec.gate("kernel66_indexed_eq_brute", kernel66Match);
+  rec.gate("kernel1000_indexed_eq_brute", kernel1000Match);
+  rec.gate("mc66_indexed_eq_brute", mc66Match);
+  rec.gate("mc1000_indexed_eq_brute", mc1000Match);
+  rec.gate("assoc66_indexed_eq_brute", assoc66Match);
+  rec.gate("assoc1000_indexed_eq_brute", assoc1000Match);
+  rec.gate("mc66_serial_eq_parallel", mc66ThreadInvariant);
+  rec.gate("mc1000_serial_eq_parallel", mc1000ThreadInvariant);
+  rec.gate("assoc66_serial_eq_parallel", assoc66ThreadInvariant);
+  rec.gate("assoc1000_serial_eq_parallel", assoc1000ThreadInvariant);
+  rec.write(jsonPath, parThreads, wallS);
+  return rec.allGates() ? 0 : 1;
 }

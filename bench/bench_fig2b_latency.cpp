@@ -12,10 +12,13 @@
 // (or argv[1]) so the performance trajectory can be tracked across PRs.
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/sim/fig2.hpp>
+
+#include "bench_record.hpp"
 
 int main(int argc, char** argv) {
   using namespace openspace;
@@ -66,25 +69,18 @@ int main(int argc, char** argv) {
   std::printf("# wall time: %.3f s (threads=%d)\n", wallS,
               parallelThreadCount());
 
-  const char* jsonPath = argc > 1 ? argv[1] : "BENCH_fig2b_latency.json";
-  if (std::FILE* f = std::fopen(jsonPath, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"fig2b_latency\",\n  \"wall_seconds\": %.6f,"
-                 "\n  \"threads\": %d,\n  \"trials\": %d,\n  \"points\": [\n",
-                 wallS, parallelThreadCount(), trials);
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const auto& pt = sweep[i];
-      std::fprintf(f,
-                   "    {\"satellites\": %d, \"connectivity\": %.6f, "
-                   "\"mean_latency_s\": %.9f, \"mean_end_to_end_latency_s\": "
-                   "%.9f, \"mean_isl_hops\": %.4f}%s\n",
-                   pt.satellites, pt.connectivity, pt.meanLatencyS,
-                   pt.meanEndToEndLatencyS, pt.meanIslHops,
-                   i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# json: %s\n", jsonPath);
+  bench::BenchRecord rec("fig2b_latency");
+  rec.count("trials", trials);
+  for (const auto& pt : sweep) {
+    const std::string p =
+        "points.satellites=" + std::to_string(pt.satellites) + ".";
+    rec.metric(p + "connectivity", pt.connectivity, "ratio");
+    rec.metric(p + "mean_latency_s", pt.meanLatencyS, "s", 9);
+    rec.metric(p + "mean_end_to_end_latency_s", pt.meanEndToEndLatencyS, "s",
+               9);
+    rec.metric(p + "mean_isl_hops", pt.meanIslHops, "hops", 4);
   }
+  rec.write(argc > 1 ? argv[1] : "BENCH_fig2b_latency.json",
+            parallelThreadCount(), wallS);
   return 0;
 }

@@ -11,10 +11,13 @@
 // (or argv[1]) so the performance trajectory can be tracked across PRs.
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include <openspace/concurrency/parallel.hpp>
 #include <openspace/geo/units.hpp>
 #include <openspace/sim/fig2.hpp>
+
+#include "bench_record.hpp"
 
 int main(int argc, char** argv) {
   using namespace openspace;
@@ -58,25 +61,24 @@ int main(int argc, char** argv) {
   std::printf("# wall time: %.3f s (threads=%d)\n", wallS,
               parallelThreadCount());
 
-  const char* jsonPath = argc > 1 ? argv[1] : "BENCH_fig2c_coverage.json";
-  if (std::FILE* f = std::fopen(jsonPath, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"fig2c_coverage\",\n  \"wall_seconds\": "
-                 "%.6f,\n  \"threads\": %d,\n  \"trials\": %d,\n  "
-                 "\"full_coverage_at\": %d,\n  \"points\": [\n",
-                 wallS, parallelThreadCount(), trials, fullCoverageAt);
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const auto& pt = sweep[i];
-      std::fprintf(f,
-                   "    {\"satellites\": %d, \"worst_case_coverage\": %.6f, "
-                   "\"monte_carlo_coverage\": %.6f, "
-                   "\"mean_effective_satellites\": %.4f}%s\n",
-                   pt.satellites, pt.worstCaseCoverage, pt.monteCarloCoverage,
-                   pt.meanEffectiveSatellites, i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# json: %s\n", jsonPath);
+  // The curve is a fixed-seed deterministic computation: any drift from the
+  // committed baseline is a semantic change, not noise.
+  bench::BenchRecord rec("fig2c_coverage");
+  rec.metric("sweep_s", wallS, "s").compare();
+  rec.count("trials", trials);
+  rec.count("full_coverage_at", fullCoverageAt, "sats").exact();
+  for (const auto& pt : sweep) {
+    const std::string p =
+        "points.satellites=" + std::to_string(pt.satellites) + ".";
+    rec.metric(p + "worst_case_coverage", pt.worstCaseCoverage, "ratio")
+        .exact();
+    rec.metric(p + "monte_carlo_coverage", pt.monteCarloCoverage, "ratio")
+        .exact();
+    rec.metric(p + "mean_effective_satellites", pt.meanEffectiveSatellites,
+               "sats", 4)
+        .exact();
   }
+  rec.write(argc > 1 ? argv[1] : "BENCH_fig2c_coverage.json",
+            parallelThreadCount(), wallS);
   return 0;
 }

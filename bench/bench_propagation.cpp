@@ -27,6 +27,8 @@
 #include <openspace/orbit/propagation_batch.hpp>
 #include <openspace/orbit/walker.hpp>
 
+#include "bench_record.hpp"
+
 namespace {
 
 using namespace openspace;
@@ -155,9 +157,6 @@ int main(int argc, char** argv) {
       coldSerial == coldParallel && coldSerial == cold.checksum;
   const bool warmThreadInvariant =
       warmSerial == warmParallel && warmSerial == warm.checksum;
-  const bool allMatch = coldMatchesScalar && warmMatchesCold &&
-                        coldThreadInvariant && warmThreadInvariant;
-
   const double speedupCold = scalar.usPerStep() / cold.usPerStep();
   const double speedupWarm = scalar.usPerStep() / warm.usPerStep();
 
@@ -182,38 +181,24 @@ int main(int argc, char** argv) {
               warmThreadInvariant ? "MATCH" : "MISMATCH");
 
   const double wallS = nowS() - wallStartS;
-  const char* jsonPath = argc > 1 ? argv[1] : "BENCH_propagation.json";
-  if (std::FILE* f = std::fopen(jsonPath, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"propagation\",\n"
-                 "  \"wall_seconds\": %.6f,\n"
-                 "  \"threads\": %d,\n"
-                 "  \"satellites\": %zu,\n"
-                 "  \"steps\": %d,\n"
-                 "  \"step_seconds\": %.1f,\n"
-                 "  \"compile_us\": %.3f,\n"
-                 "  \"scalar_us_per_step\": %.3f,\n"
-                 "  \"batch_us_per_step\": %.3f,\n"
-                 "  \"warm_us_per_step\": %.3f,\n"
-                 "  \"speedup_batch\": %.3f,\n"
-                 "  \"speedup_warm\": %.3f,\n"
-                 "  \"scalar_checksum\": \"%016llx\",\n"
-                 "  \"batch_checksum\": \"%016llx\",\n"
-                 "  \"warm_checksum\": \"%016llx\",\n"
-                 "  \"batch_matches_scalar\": %s,\n"
-                 "  \"warm_matches_batch\": %s,\n"
-                 "  \"checksums_match\": %s\n}\n",
-                 wallS, poolThreads, fleet.size(), kSteps, kStepS, compileUs,
-                 scalar.usPerStep(), cold.usPerStep(), warm.usPerStep(),
-                 speedupCold, speedupWarm,
-                 static_cast<unsigned long long>(scalar.checksum),
-                 static_cast<unsigned long long>(cold.checksum),
-                 static_cast<unsigned long long>(warm.checksum),
-                 coldMatchesScalar ? "true" : "false",
-                 warmMatchesCold ? "true" : "false",
-                 allMatch ? "true" : "false");
-    std::fclose(f);
-    std::printf("# json: %s\n", jsonPath);
-  }
-  return allMatch ? 0 : 1;
+  bench::BenchRecord rec("propagation");
+  rec.count("satellites", fleet.size());
+  rec.count("steps", kSteps);
+  rec.metric("step_seconds", kStepS, "s", 1);
+  rec.metric("compile_us", compileUs, "us", 3);
+  rec.metric("scalar_us_per_step", scalar.usPerStep(), "us", 3).compare();
+  rec.metric("batch_us_per_step", cold.usPerStep(), "us", 3).compare();
+  rec.metric("warm_us_per_step", warm.usPerStep(), "us", 3).compare();
+  // The batch kernel's reason to exist: its speedup over the scalar spec.
+  rec.metric("speedup_batch", speedupCold, "x", 3).floor(3.0);
+  rec.metric("speedup_warm", speedupWarm, "x", 3).floor(3.0);
+  rec.checksum("scalar_checksum", scalar.checksum);
+  rec.checksum("batch_checksum", cold.checksum);
+  rec.checksum("warm_checksum", warm.checksum);
+  rec.gate("batch_eq_scalar", coldMatchesScalar);
+  rec.gate("warm_eq_batch", warmMatchesCold);
+  rec.gate("batch_serial_eq_parallel", coldThreadInvariant);
+  rec.gate("warm_serial_eq_parallel", warmThreadInvariant);
+  rec.write(argc > 1 ? argv[1] : "BENCH_propagation.json", poolThreads, wallS);
+  return rec.allGates() ? 0 : 1;
 }

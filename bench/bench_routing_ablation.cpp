@@ -24,6 +24,8 @@
 #include <openspace/routing/ondemand.hpp>
 #include <openspace/topology/builder.hpp>
 
+#include "bench_record.hpp"
+
 namespace {
 
 using namespace openspace;
@@ -171,37 +173,23 @@ int main(int argc, char** argv) {
               checksumsMatch ? "MATCH" : "MISMATCH");
 
   const double wallS = nowS() - wallStartS;
-  const char* jsonPath = argc > 1 ? argv[1] : "BENCH_routing_ablation.json";
-  if (std::FILE* f = std::fopen(jsonPath, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"routing_ablation\",\n"
-                 "  \"wall_seconds\": %.6f,\n  \"threads\": %d,\n"
-                 "  \"rows\": [\n",
-                 wallS, poolThreads);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SweepRow& r = rows[i];
-      std::fprintf(f,
-                   "    {\"hot_queue_ms\": %.1f, \"reachable\": %s, "
-                   "\"proactive_latency_ms\": %.6f, "
-                   "\"ondemand_latency_ms\": %.6f, \"detoured\": %s}%s\n",
-                   r.hotQueueMs, r.reachable ? "true" : "false", r.proactiveMs,
-                   r.onDemandMs, r.detoured ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"batch\": {\n"
-                 "    \"sources\": %zu,\n"
-                 "    \"serial_seconds\": %.6f,\n"
-                 "    \"parallel_seconds\": %.6f,\n"
-                 "    \"serial_checksum\": \"%016llx\",\n"
-                 "    \"parallel_checksum\": \"%016llx\",\n"
-                 "    \"checksums_match\": %s\n  }\n}\n",
-                 sources.size(), serialS, parallelS,
-                 static_cast<unsigned long long>(serialSum),
-                 static_cast<unsigned long long>(parallelSum),
-                 checksumsMatch ? "true" : "false");
-    std::fclose(f);
-    std::printf("# json: %s\n", jsonPath);
+  bench::BenchRecord rec("routing_ablation");
+  for (const SweepRow& r : rows) {
+    char row[48];
+    std::snprintf(row, sizeof row, "rows.hot_queue_ms=%g.", r.hotQueueMs);
+    const std::string p = row;
+    rec.flag(p + "reachable", r.reachable);
+    rec.metric(p + "proactive_latency_ms", r.proactiveMs, "ms");
+    rec.metric(p + "ondemand_latency_ms", r.onDemandMs, "ms");
+    rec.flag(p + "detoured", r.detoured);
   }
+  rec.count("batch.sources", sources.size());
+  rec.metric("batch.serial_seconds", serialS, "s").compare();
+  rec.metric("batch.parallel_seconds", parallelS, "s").compare();
+  rec.checksum("batch.serial_checksum", serialSum);
+  rec.checksum("batch.parallel_checksum", parallelSum);
+  rec.gate("batch_serial_eq_parallel", checksumsMatch);
+  rec.write(argc > 1 ? argv[1] : "BENCH_routing_ablation.json", poolThreads,
+            wallS);
   return checksumsMatch ? 0 : 1;
 }

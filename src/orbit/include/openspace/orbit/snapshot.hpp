@@ -78,10 +78,10 @@ class ConstellationSnapshot {
   /// Approximate resident size in bytes: the element list plus both
   /// position arrays. The adjacency islTopology() caches is excluded —
   /// SnapshotCache charges entries at insert time, before any topology
-  /// exists — so only its few callers (shortestIslPath, diffIslTopology,
-  /// MultiShellFleet's cross-shell links) keep one on a snapshot; the
-  /// per-step link enumerator builds its own with buildIslTopology() and
-  /// drops it after the step.
+  /// exists — so only its few callers (shortestIslPath, MultiShellFleet's
+  /// cross-shell links) keep one on a snapshot; the per-step link
+  /// enumerator builds its own with buildIslTopology() and drops it after
+  /// the step.
   std::size_t approxBytes() const noexcept {
     return sizeof(*this) +
            elements_.size() * (sizeof(OrbitalElements) + 2 * sizeof(Vec3));

@@ -141,25 +141,13 @@ void LinkEnumerator::enumerate(const ConstellationSnapshot& snap,
       // one, so the k smallest (distance, index) pairs of an all-pairs scan
       // that survive the range filter are exactly the min(k, in-range)
       // smallest range-pruned candidates — same accepted set, same order.
-      // Small fleets scan the pairs here (islTopology's own all-pairs loop
-      // without its sightline test); larger ones take the grid-pruned
-      // adjacency, built for this call only so no snapshot keeps it.
-      const bool scan = s <= kIslAllPairsMaxSats;
+      // The adjacency is built for this call only so no snapshot keeps it.
       const IslTopology topo =
-          scan ? IslTopology{}
-               : snap.buildIslTopology(opt_.maxIslRangeM, kNoLosClearanceM);
+          snap.buildIslTopology(opt_.maxIslRangeM, kNoLosClearanceM);
       const auto kMax = static_cast<std::size_t>(std::max(0, opt_.nearestK));
       for (std::size_t i = 0; i < s; ++i) {
         nnCand_.clear();
-        if (scan) {
-          for (std::size_t j = 0; j < s; ++j) {
-            if (j == i) continue;
-            const double d = eci[i].distanceTo(eci[j]);
-            if (d <= opt_.maxIslRangeM) nnCand_.emplace_back(d, j);
-          }
-        } else {
-          for (const auto& [j, d] : topo.adjacency[i]) nnCand_.emplace_back(d, j);
-        }
+        for (const auto& [j, d] : topo.adjacency[i]) nnCand_.emplace_back(d, j);
         const std::size_t k = std::min(nnCand_.size(), kMax);
         std::partial_sort(nnCand_.begin(),
                           nnCand_.begin() + static_cast<std::ptrdiff_t>(k),

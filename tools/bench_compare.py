@@ -1,56 +1,33 @@
 #!/usr/bin/env python3
-"""Warn-only benchmark regression check.
+"""Benchmark regression check over the shared bench record.
 
 Compares freshly produced BENCH_*.json files against the committed
-reference numbers in bench/baseline/. Two formats are understood:
+baselines in bench/baseline/, matched by file name. Every custom bench
+writes one record shape (bench/bench_record.hpp, README "Bench records"):
 
-* google-benchmark JSON ("benchmarks": [{"name", "real_time", ...}]) —
-  per-benchmark real_time is compared by name;
-* the custom routing-ablation record ("bench": "routing_ablation") —
-  batch serial/parallel wall seconds are compared, and checksum agreement
-  is re-asserted;
-* the custom propagation record ("bench": "propagation") — per-step times
-  for the scalar/batch/warm paths are compared, checksum agreement is
-  re-asserted, and the batch speedup is checked against the 3x floor the
-  kernel is expected to hold;
-* the custom coverage-index record ("bench": "coverage_index") — indexed
-  wall times are compared, brute==indexed / serial==parallel checksum
-  agreement is re-asserted, and the query-kernel speedups are checked
-  against the floors the spherical footprint index is expected to hold
-  (4x at 66 satellites, 6x at 1000);
-* the custom fig2c record ("bench": "fig2c_coverage") — wall time is
-  compared and the coverage curve itself (a deterministic seeded
-  computation) is re-asserted point for point against the baseline;
-* the custom flow-simulator record ("bench": "flow_sim") — scheduler /
-  simulator / scale-run wall times are compared, the wheel==EventQueue,
-  simulator==legacy and serial==parallel checksum gates are re-asserted,
-  and the timer-wheel speedup is checked against its 3x floor;
-* the custom temporal-delta record ("bench": "temporal_delta") — delta
-  wall times are compared, the delta==fresh / serial==parallel checksum
-  gates are re-asserted, the graph/route speedups are checked against
-  their 4x floors (headline target is 5x; the floor leaves noise margin),
-  and route repair is checked to be actually repairing rather than
-  falling back to fresh trees;
-* the custom handover record ("bench": "handover") — the timelines are
-  deterministic seeded computations, so cadence counts and outage numbers
-  are re-asserted exactly against the baseline at equal scale, and the
-  predictive scheme's outage reduction over re-association is checked
-  against its 25x floor;
-* the custom session record ("bench": "session") — per tier (iridium,
-  dense) the sweep==legacy and serial==parallel checksum gates are
-  re-asserted, the cache-consults-every-handover invariant is re-checked,
-  sweep wall times are compared, the Iridium epoch sweep's speedup over
-  the per-user planner scan is checked against its 10x floor (at
-  meaningful scale), and the dense tier's search_prune_ratio (candidates
-  above the mask per full visibility search) is held to a 3.0 floor.
+    {"bench", "scale", "threads", "wall_seconds",
+     "metrics": {name: {"value", "unit"[, check]}},
+     "gates": {name: bool}}
 
-CI hardware varies run to run, so wall times are a smoke alarm, not a
-gate: every regression beyond the threshold prints a GitHub ::warning::
-annotation. The one exception is a floor on deterministic counts (the
-session prune ratio): those do not depend on the machine, so a miss
-prints ::error:: and the script exits 1. Otherwise it exits 0. The committed baselines document the numbers a
-known machine produced; refresh them (tools/bench_compare.py --help shows
-the layout) whenever an intentional perf change lands.
+Each bench declares its own checks, so this script knows no bench by name:
+
+* a false gate fails (the bench also exits non-zero on it);
+* "floor": {"min", "hard"} -- a value under min warns, or fails if hard;
+* "compare": true -- warn when the value exceeds the baseline's by more
+  than --threshold; only at equal scale (an absent scale reads as 1.0);
+* "exact": true -- warn when the value differs from the baseline's by
+  more than 1e-9 (text must be equal); only at equal scale;
+* a gate or checked metric in the baseline that this run lacks warns, or
+  fails when it is a hard floor.
+
+bench_micro_kernels writes google-benchmark JSON ("benchmarks": [...]),
+a format this project does not own: its per-benchmark real_time is
+compared by name, warn-only.
+
+CI hardware varies run to run, so wall times are a smoke alarm: a miss
+prints a GitHub ::warning:: annotation. Only failures (::error::) make
+the script exit 1. The committed baselines document the numbers a known
+machine produced; refresh them whenever an intentional perf change lands.
 """
 
 from __future__ import annotations
@@ -62,16 +39,16 @@ from pathlib import Path
 
 # Warn when current time exceeds baseline by more than this factor.
 DEFAULT_THRESHOLD = 1.5
+# An exact metric may differ from its baseline by at most this much.
+EXACT_TOLERANCE = 1e-9
+
+warnings: list[str] = []
+failures: list[str] = []
 
 
 def warn(msg: str) -> None:
     print(f"::warning::{msg}")
-
-
-# Hard-gate violations: deterministic counts that do not depend on the
-# machine, so a miss is a defect rather than noise. Any entry makes the
-# run exit non-zero.
-failures: list[str] = []
+    warnings.append(msg)
 
 
 def fail(msg: str) -> None:
@@ -103,15 +80,12 @@ def google_benchmark_times(doc) -> dict[str, float]:
     return times
 
 
-def compare_google_benchmark(current, baseline, threshold: float) -> int:
-    warned = 0
+def compare_google_benchmark(current, baseline, threshold: float) -> None:
     cur = google_benchmark_times(current)
-    base = google_benchmark_times(baseline)
-    for name, base_t in sorted(base.items()):
+    for name, base_t in sorted(google_benchmark_times(baseline).items()):
         cur_t = cur.get(name)
         if cur_t is None:
             warn(f"benchmark {name} present in baseline but not in this run")
-            warned += 1
             continue
         ratio = cur_t / base_t if base_t > 0 else float("inf")
         marker = " REGRESSION?" if ratio > threshold else ""
@@ -120,450 +94,90 @@ def compare_google_benchmark(current, baseline, threshold: float) -> int:
         if ratio > threshold:
             warn(f"{name}: {cur_t:.0f} ns vs baseline {base_t:.0f} ns "
                  f"({ratio:.2f}x > {threshold:.2f}x)")
-            warned += 1
-    return warned
 
 
-def compare_routing_ablation(current, baseline, threshold: float) -> int:
-    warned = 0
-    cur_batch = current.get("batch", {})
-    base_batch = baseline.get("batch", {})
-    if not cur_batch.get("checksums_match", False):
-        warn("routing_ablation: serial/parallel batch checksums diverged")
-        warned += 1
-    for key in ("serial_seconds", "parallel_seconds"):
-        cur_t = cur_batch.get(key)
-        base_t = base_batch.get(key)
-        if cur_t is None or base_t is None or base_t <= 0:
-            continue
-        ratio = cur_t / base_t
+def is_checked(entry) -> bool:
+    return any(k in entry for k in ("compare", "exact", "floor"))
+
+
+def check_floor(bench: str, name: str, entry) -> None:
+    value, floor = entry.get("value"), entry["floor"]
+    hard = floor.get("hard", False)
+    kind = "hard floor" if hard else "floor"
+    print(f"  {name}: {value} ({kind} {floor['min']})")
+    if not isinstance(value, (int, float)) or value < floor["min"]:
+        (fail if hard else warn)(
+            f"{bench} {name}: {value} below the {floor['min']} {kind}")
+
+
+def check_against_baseline(bench: str, name: str, entry, base_value,
+                           threshold: float) -> bool:
+    """Runs a compare or exact check; True if it was an exact one."""
+    value, unit = entry.get("value"), entry.get("unit", "")
+    if entry.get("compare"):
+        if not isinstance(value, (int, float)) or \
+                not isinstance(base_value, (int, float)) or base_value <= 0:
+            return False
+        ratio = value / base_value
         marker = " REGRESSION?" if ratio > threshold else ""
-        print(f"  batch.{key}: {cur_t:.4f}s vs baseline {base_t:.4f}s "
+        print(f"  {name}: {value}{unit} vs baseline {base_value}{unit} "
               f"({ratio:.2f}x){marker}")
         if ratio > threshold:
-            warn(f"routing_ablation batch.{key}: {cur_t:.4f}s vs baseline "
-                 f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-            warned += 1
-    return warned
-
-
-def compare_propagation(current, baseline, threshold: float) -> int:
-    warned = 0
-    if not current.get("checksums_match", False):
-        warn("propagation: scalar/batch/warm or serial/parallel checksums "
-             "diverged")
-        warned += 1
-    for key in ("scalar_us_per_step", "batch_us_per_step",
-                "warm_us_per_step"):
-        cur_t = current.get(key)
-        base_t = baseline.get(key)
-        if cur_t is None or base_t is None or base_t <= 0:
-            continue
-        ratio = cur_t / base_t
-        marker = " REGRESSION?" if ratio > threshold else ""
-        print(f"  {key}: {cur_t:.3f}us vs baseline {base_t:.3f}us "
-              f"({ratio:.2f}x){marker}")
-        if ratio > threshold:
-            warn(f"propagation {key}: {cur_t:.3f}us vs baseline "
-                 f"{base_t:.3f}us ({ratio:.2f}x > {threshold:.2f}x)")
-            warned += 1
-    # The batch kernel's reason to exist: warn if the speedup over the
-    # scalar spec sinks below the floor the baseline machine demonstrated.
-    for key, floor in (("speedup_batch", 3.0), ("speedup_warm", 3.0)):
-        speedup = current.get(key)
-        if speedup is None:
-            continue
-        print(f"  {key}: {speedup:.2f}x (floor {floor:.1f}x)")
-        if speedup < floor:
-            warn(f"propagation {key}: {speedup:.2f}x below the {floor:.1f}x "
-                 f"floor")
-            warned += 1
-    return warned
-
-
-def compare_coverage_index(current, baseline, threshold: float) -> int:
-    warned = 0
-    if not current.get("checksums_match", False):
-        warn("coverage_index: brute/indexed or serial/parallel checksums "
-             "diverged")
-        warned += 1
-    if current.get("scale") != baseline.get("scale"):
-        # CI runs the bench at a reduced workload scale; absolute times are
-        # incomparable then, but the speedup floors below still apply.
-        print(f"  (scale {current.get('scale')} vs baseline "
-              f"{baseline.get('scale')}: skipping wall-time comparison)")
-    else:
-        warned += _compare_coverage_index_times(current, baseline, threshold)
-    # The index's reason to exist: the fig2c-style query kernel and the
-    # association fan-out must stay well ahead of the brute specs.
-    for key, floor in (("speedup_kernel66", 4.0), ("speedup_kernel1000", 6.0),
-                       ("speedup_assoc66", 3.0), ("speedup_assoc1000", 8.0)):
-        speedup = current.get(key)
-        if speedup is None:
-            continue
-        print(f"  {key}: {speedup:.2f}x (floor {floor:.1f}x)")
-        if speedup < floor:
-            warn(f"coverage_index {key}: {speedup:.2f}x below the "
-                 f"{floor:.1f}x floor")
-            warned += 1
-    return warned
-
-
-def _compare_coverage_index_times(current, baseline, threshold: float) -> int:
-    warned = 0
-    for key in ("kernel66_indexed_s", "kernel1000_indexed_s",
-                "mc66_indexed_s", "mc1000_indexed_s", "assoc66_indexed_s",
-                "assoc1000_indexed_s", "mc66_parallel_s",
-                "assoc66_parallel_s", "assoc1000_parallel_s"):
-        cur_t = current.get(key)
-        base_t = baseline.get(key)
-        if cur_t is None or base_t is None or base_t <= 0:
-            continue
-        ratio = cur_t / base_t
-        marker = " REGRESSION?" if ratio > threshold else ""
-        print(f"  {key}: {cur_t:.4f}s vs baseline {base_t:.4f}s "
-              f"({ratio:.2f}x){marker}")
-        if ratio > threshold:
-            warn(f"coverage_index {key}: {cur_t:.4f}s vs baseline "
-                 f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-            warned += 1
-    return warned
-
-
-def compare_flow_sim(current, baseline, threshold: float) -> int:
-    warned = 0
-    if not current.get("checksums_match", False):
-        warn("flow_sim: wheel/EventQueue, simulator/legacy or "
-             "serial/parallel checksums diverged")
-        warned += 1
-    if current.get("scale") != baseline.get("scale"):
-        # CI runs the bench at a reduced workload scale; absolute times are
-        # incomparable then, but the speedup floor below still applies.
-        print(f"  (scale {current.get('scale')} vs baseline "
-              f"{baseline.get('scale')}: skipping wall-time comparison)")
-    else:
-        for key in ("sched_wheel_s", "equiv_sim_s", "scale_run_s"):
-            cur_t = current.get(key)
-            base_t = baseline.get(key)
-            if cur_t is None or base_t is None or base_t <= 0:
-                continue
-            ratio = cur_t / base_t
-            marker = " REGRESSION?" if ratio > threshold else ""
-            print(f"  {key}: {cur_t:.4f}s vs baseline {base_t:.4f}s "
-                  f"({ratio:.2f}x){marker}")
-            if ratio > threshold:
-                warn(f"flow_sim {key}: {cur_t:.4f}s vs baseline "
-                     f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-                warned += 1
-    # The wheel's reason to exist: POD slab records must keep it well ahead
-    # of the closure-allocating EventQueue spec. The floor only holds at a
-    # meaningful open-timer count, so skip it on heavily reduced lanes.
-    speedup = current.get("speedup_scheduler")
-    if speedup is not None:
-        floor = 3.0 if current.get("scale", 1.0) >= 0.2 else None
-        floor_txt = f" (floor {floor:.1f}x)" if floor else " (no floor at this scale)"
-        print(f"  speedup_scheduler: {speedup:.2f}x{floor_txt}")
-        if floor is not None and speedup < floor:
-            warn(f"flow_sim speedup_scheduler: {speedup:.2f}x below the "
-                 f"{floor:.1f}x floor")
-            warned += 1
-    return warned
-
-
-def compare_temporal_delta(current, baseline, threshold: float) -> int:
-    warned = 0
-    if not current.get("checksums_match", False):
-        warn("temporal_delta: delta/fresh or serial/parallel checksums "
-             "diverged")
-        warned += 1
-    if current.get("scale") != baseline.get("scale"):
-        # CI runs the bench at a reduced workload scale; absolute times are
-        # incomparable then, but the speedup floors below still apply.
-        print(f"  (scale {current.get('scale')} vs baseline "
-              f"{baseline.get('scale')}: skipping wall-time comparison)")
-    else:
-        for key in ("graph_delta_s", "routes_delta_s"):
-            cur_t = current.get(key)
-            base_t = baseline.get(key)
-            if cur_t is None or base_t is None or base_t <= 0:
-                continue
-            ratio = cur_t / base_t
-            marker = " REGRESSION?" if ratio > threshold else ""
-            print(f"  {key}: {cur_t:.4f}s vs baseline {base_t:.4f}s "
-                  f"({ratio:.2f}x){marker}")
-            if ratio > threshold:
-                warn(f"temporal_delta {key}: {cur_t:.4f}s vs baseline "
-                     f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-                warned += 1
-    # The delta path's reason to exist: the ≥5x headline. The floors sit
-    # below the measured 5.6-5.9x so machine noise doesn't flake, and only
-    # apply at a meaningful step count (reduced lanes amortize the
-    # structural steps over too few patched ones).
-    for key, floor in (("speedup_graph", 4.0), ("speedup_routes", 4.0)):
-        speedup = current.get(key)
-        if speedup is None:
-            continue
-        if current.get("scale", 1.0) >= 0.2:
-            print(f"  {key}: {speedup:.2f}x (floor {floor:.1f}x)")
-            if speedup < floor:
-                warn(f"temporal_delta {key}: {speedup:.2f}x below the "
-                     f"{floor:.1f}x floor")
-                warned += 1
-        else:
-            print(f"  {key}: {speedup:.2f}x (no floor at this scale)")
-    # Route repair must actually be repairing: a fallback on every step
-    # would silently degrade to the fresh path while still passing the
-    # bit-identity gates.
-    repaired = current.get("repaired_steps")
-    fallback = current.get("fallback_steps")
-    if repaired is not None and fallback is not None:
-        print(f"  repair: {repaired} repaired, {fallback} fallback steps")
-        if repaired > 0 and fallback > repaired:
-            warn(f"temporal_delta: {fallback} fallback steps vs {repaired} "
-                 f"repaired — repair is mostly falling back to fresh trees")
-            warned += 1
-    return warned
-
-
-def compare_handover(current, baseline, threshold: float) -> int:
-    warned = 0
-    cur_t = current.get("wall_seconds")
-    base_t = baseline.get("wall_seconds")
-    if cur_t is not None and base_t is not None and base_t > 0:
-        ratio = cur_t / base_t
-        marker = " REGRESSION?" if ratio > threshold else ""
-        print(f"  wall_seconds: {cur_t:.3f}s vs baseline {base_t:.3f}s "
-              f"({ratio:.2f}x){marker}")
-        if ratio > threshold:
-            warn(f"handover wall_seconds: {cur_t:.3f}s vs baseline "
-                 f"{base_t:.3f}s ({ratio:.2f}x > {threshold:.2f}x)")
-            warned += 1
-    # The predictive scheme's reason to exist: per-handover outage drops
-    # from beacon wait + RADIUS RTT (~1.1 s) to signaling latency (~20 ms).
-    # The ratio is per-handover, so it holds at any window scale.
-    ratio = current.get("outage_ratio")
-    if ratio is not None:
-        print(f"  outage_ratio: {ratio:.1f}x (floor 25.0x)")
-        if ratio < 25.0:
-            warn(f"handover outage_ratio: predictive only {ratio:.1f}x "
-                 f"less outage than re-association (floor 25x)")
-            warned += 1
-    if current.get("scale") != baseline.get("scale"):
-        # A different window length changes every cadence count; only the
-        # per-handover ratio above is comparable then.
-        print(f"  (scale {current.get('scale')} vs baseline "
-              f"{baseline.get('scale')}: skipping cadence comparison)")
-        return warned
-    # The timelines are fixed-seed deterministic computations: any drift
-    # from the committed baseline is a semantic change, not noise.
-    for key in ("predictive_handovers", "reassociate_handovers",
-                "predictive_outage_s", "reassociate_outage_s"):
-        a, b = current.get(key), baseline.get(key)
-        if a is None or b is None:
-            continue
-        drifted = abs(a - b) > 1e-9 if isinstance(a, float) else a != b
-        print(f"  {key}: {a} vs baseline {b}")
+            warn(f"{bench} {name}: {value}{unit} vs baseline "
+                 f"{base_value}{unit} ({ratio:.2f}x > {threshold:.2f}x)")
+    elif entry.get("exact"):
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (value, base_value))
+        drifted = abs(value - base_value) > EXACT_TOLERANCE if numeric \
+            else value != base_value
         if drifted:
-            warn(f"handover {key}: {a} vs baseline {b} — the timeline is "
-                 f"deterministic, so this is a semantic change, not noise")
-            warned += 1
-    cur_rows = current.get("cadence", [])
-    base_rows = baseline.get("cadence", [])
-    if [(r.get("sats"), r.get("handovers")) for r in cur_rows] != \
-       [(r.get("sats"), r.get("handovers")) for r in base_rows]:
-        warn("handover: cadence-vs-density table drifted from the baseline")
-        warned += 1
-    else:
-        print(f"  cadence: {len(cur_rows)} density points match")
-    return warned
+            warn(f"{bench} {name}: {value} vs baseline {base_value} -- the "
+                 f"value is deterministic, so this is a semantic change, "
+                 f"not noise")
+        return True
+    return False
 
 
-# Floor on the dense session tier's candidates-above-mask per full
-# visibility search. Both are deterministic counts, so unlike the
-# wall-time floors this one is machine-independent and fails the run.
-SESSION_DENSE_PRUNE_FLOOR = 3.0
-
-
-def compare_session(current, baseline, threshold: float) -> int:
-    warned = 0
-    if not current.get("checksums_match", False):
-        warn("session: sweep/legacy timeline or serial/parallel checksums "
-             "diverged")
-        warned += 1
-    same_scale = current.get("scale") == baseline.get("scale")
+def compare_record(current, baseline, threshold: float) -> None:
+    bench = current.get("bench", "?")
+    scale, base_scale = current.get("scale", 1.0), baseline.get("scale", 1.0)
+    same_scale = scale == base_scale
     if not same_scale:
-        # CI runs the bench at a reduced user count; absolute times are
-        # incomparable then, but the floors below still apply.
-        print(f"  (scale {current.get('scale')} vs baseline "
-              f"{baseline.get('scale')}: skipping wall-time comparison)")
-    base_tiers = {t.get("name"): t for t in baseline.get("tiers", [])}
-    if "dense" not in {t.get("name") for t in current.get("tiers", [])}:
-        fail("session: the record has no dense tier, so its prune-ratio "
-             "floor cannot be checked")
-    for tier in current.get("tiers", []):
-        name = tier.get("name")
-        # Every handover consults the per-shard certificate cache exactly
-        # once (hit or miss); a gap means the cache was silently bypassed.
-        handovers = tier.get("handovers")
-        hits = tier.get("cert_cache_hits")
-        misses = tier.get("cert_cache_misses")
-        if None not in (handovers, hits, misses) and \
-                hits + misses != handovers:
-            warn(f"session {name}: cert cache consulted {hits + misses} "
-                 f"times for {handovers} handovers — the cache is being "
-                 f"bypassed")
-            warned += 1
-        base = base_tiers.get(name)
-        if same_scale and base is not None:
-            for key in ("seed_s", "sweep_serial_s", "sweep_parallel_s",
-                        "baseline_probe_s"):
-                cur_t = tier.get(key)
-                base_t = base.get(key)
-                if cur_t is None or base_t is None or base_t <= 0:
-                    continue
-                ratio = cur_t / base_t
-                marker = " REGRESSION?" if ratio > threshold else ""
-                print(f"  {name} {key}: {cur_t:.4f}s vs baseline "
-                      f"{base_t:.4f}s ({ratio:.2f}x){marker}")
-                if ratio > threshold:
-                    warn(f"session {name} {key}: {cur_t:.4f}s vs baseline "
-                         f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-                    warned += 1
-        # The sweep's reason to exist: the >= 10x headline over the
-        # per-user planner scan on the Iridium tier. The floor only holds
-        # once per-epoch fixed costs (index compile, heap walk) amortize
-        # over enough users, so skip it on heavily reduced lanes.
-        speedup = tier.get("speedup_vs_planner")
-        if speedup is not None:
-            floor = 10.0 if name == "iridium" and \
-                current.get("scale", 1.0) >= 0.2 else None
-            floor_txt = f" (floor {floor:.1f}x)" if floor \
-                else " (no floor here)"
-            print(f"  {name} speedup_vs_planner: {speedup:.2f}x{floor_txt}")
-            if floor is not None and speedup < floor:
-                warn(f"session {name} speedup_vs_planner: {speedup:.2f}x "
-                     f"below the {floor:.1f}x floor")
-                warned += 1
-        # The successor search's one-probe bound: on the dense tier most
-        # above-mask candidates must skip the full visibility search.
-        above = tier.get("candidates_above_mask")
-        searches = tier.get("visibility_searches")
-        if above is not None and searches is not None:
-            if searches > above:
-                fail(f"session {name}: {searches} full visibility searches "
-                     f"for {above} candidates above the mask")
-            ratio = above / searches if searches else 0.0
-            print(f"  {name} search_prune_ratio: {ratio:.2f}")
-            if name == "dense" and ratio < SESSION_DENSE_PRUNE_FLOOR:
-                fail(f"session dense search_prune_ratio: {ratio:.2f} "
-                     f"below the {SESSION_DENSE_PRUNE_FLOOR:.1f} floor")
-    return warned
-
-
-def compare_scale(current, baseline, threshold: float) -> int:
-    warned = 0
-    if not current.get("checksums_match", False):
-        warn("scale: a hard gate diverged (serial/parallel, SIMD-vs-scalar "
-             "bit-identity, delta==fresh, or indexed closestVisible)")
-        warned += 1
-    same_scale = current.get("scale") == baseline.get("scale")
-    if not same_scale:
-        # CI runs a reduced workload; absolute stage times are incomparable
-        # then, but the kernel speedup floors below still apply.
-        print(f"  (scale {current.get('scale')} vs baseline "
-              f"{baseline.get('scale')}: skipping stage-time comparison)")
-    base_tiers = {t.get("tier"): t for t in baseline.get("tiers", [])}
-    for tier in current.get("tiers", []):
-        name = tier.get("tier")
-        base = base_tiers.get(name)
-        if not tier.get("gates_match", False):
-            warn(f"scale {name}: per-tier gates diverged")
-            warned += 1
-        reached = tier.get("route_reached")
-        pairs = tier.get("route_pairs")
-        if reached is not None and pairs and reached < pairs:
-            warn(f"scale {name}: only {reached}/{pairs} route pairs "
-                 f"reachable — the intra-shell ISL graph fragmented")
-            warned += 1
-        if same_scale and base is not None:
-            for key in ("prop_simd_s", "index_build_s", "topo_build_s",
-                        "route_s"):
-                cur_t = tier.get(key)
-                base_t = base.get(key)
-                if cur_t is None or base_t is None or base_t <= 0:
-                    continue
-                ratio = cur_t / base_t
-                marker = " REGRESSION?" if ratio > threshold else ""
-                print(f"  {name} {key}: {cur_t:.4f}s vs baseline "
-                      f"{base_t:.4f}s ({ratio:.2f}x){marker}")
-                if ratio > threshold:
-                    warn(f"scale {name} {key}: {cur_t:.4f}s vs baseline "
-                         f"{base_t:.4f}s ({ratio:.2f}x > {threshold:.2f}x)")
-                    warned += 1
-    # The SIMD kernels' reason to exist: the >= 2x single-core acceptance
-    # floor (measured 4-7x; the floor sits far below so machine noise
-    # doesn't flake). Only meaningful when the AVX2 translation units
-    # dispatched — on a scalar4-only host both sides run the same lanes.
-    if current.get("cap_kernel_level") == "avx2":
-        for key, floor in (("speedup_propagation_best", 2.0),
-                           ("speedup_capindex_best", 2.0)):
-            speedup = current.get(key)
-            if speedup is None:
-                continue
-            print(f"  {key}: {speedup:.2f}x (floor {floor:.1f}x)")
-            if speedup < floor:
-                warn(f"scale {key}: {speedup:.2f}x below the "
-                     f"{floor:.1f}x floor")
-                warned += 1
-    else:
-        print("  (cap kernel dispatched scalar4: no speedup floors)")
-    return warned
-
-
-def compare_fig2c_coverage(current, baseline, threshold: float) -> int:
-    warned = 0
-    cur_t = current.get("wall_seconds")
-    base_t = baseline.get("wall_seconds")
-    if cur_t is not None and base_t is not None and base_t > 0:
-        ratio = cur_t / base_t
-        marker = " REGRESSION?" if ratio > threshold else ""
-        print(f"  wall_seconds: {cur_t:.3f}s vs baseline {base_t:.3f}s "
-              f"({ratio:.2f}x){marker}")
-        if ratio > threshold:
-            warn(f"fig2c_coverage wall_seconds: {cur_t:.3f}s vs baseline "
-                 f"{base_t:.3f}s ({ratio:.2f}x > {threshold:.2f}x)")
-            warned += 1
-    # The curve is a fixed-seed deterministic computation: any drift from
-    # the committed baseline is a semantic change, not noise.
-    if current.get("full_coverage_at") != baseline.get("full_coverage_at"):
-        warn(f"fig2c_coverage full_coverage_at: "
-             f"{current.get('full_coverage_at')} vs baseline "
-             f"{baseline.get('full_coverage_at')}")
-        warned += 1
-    cur_pts = current.get("points", [])
-    base_pts = baseline.get("points", [])
-    if len(cur_pts) != len(base_pts):
-        warn(f"fig2c_coverage: {len(cur_pts)} points vs baseline "
-             f"{len(base_pts)}")
-        return warned + 1
-    drift = 0.0
-    for cur_p, base_p in zip(cur_pts, base_pts):
-        for key in ("worst_case_coverage", "monte_carlo_coverage",
-                    "mean_effective_satellites"):
-            a, b = cur_p.get(key), base_p.get(key)
-            if a is not None and b is not None:
-                drift = max(drift, abs(a - b))
-    print(f"  curve: {len(cur_pts)} points, max drift {drift:.2e}")
-    if drift > 1e-9:
-        warn(f"fig2c_coverage: coverage curve drifted from the baseline "
-             f"(max {drift:.2e}) — the computation is seeded, so this is "
-             f"a semantic change, not noise")
-        warned += 1
-    return warned
+        print(f"  (scale {scale} vs baseline {base_scale}: skipping compare "
+              f"and exact checks)")
+    gates = current.get("gates", {})
+    for name, ok in gates.items():
+        if ok is not True:
+            fail(f"{bench} gate {name} failed")
+    if gates:
+        print(f"  gates: {sum(ok is True for ok in gates.values())}/"
+              f"{len(gates)} hold")
+    metrics = current.get("metrics", {})
+    base_metrics = baseline.get("metrics", {})
+    for name in baseline.get("gates", {}):
+        if name not in gates:
+            warn(f"{bench} gate {name} is in the baseline but not this run")
+    for name, entry in base_metrics.items():
+        if name not in metrics and is_checked(entry):
+            hard = entry.get("floor", {}).get("hard", False)
+            (fail if hard else warn)(
+                f"{bench} {name}: checked in the baseline but missing from "
+                f"this run")
+    exact = 0
+    for name, entry in metrics.items():
+        if "floor" in entry:
+            check_floor(bench, name, entry)
+        elif same_scale and name in base_metrics:
+            exact += check_against_baseline(
+                bench, name, entry, base_metrics[name].get("value"), threshold)
+    if exact:
+        print(f"  exact: {exact} deterministic value(s) checked")
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("files", nargs="+", type=Path,
                     help="freshly produced BENCH_*.json files")
     ap.add_argument("--baseline-dir", type=Path,
@@ -574,53 +188,26 @@ def main() -> int:
                     help="warn when current/baseline exceeds this factor")
     args = ap.parse_args()
 
-    warned = 0
     for path in args.files:
         current = load(path)
         if current is None:
-            warned += 1
             continue
         base_path = args.baseline_dir / path.name
         if not base_path.exists():
             warn(f"no committed baseline for {path.name} "
                  f"(expected {base_path}); skipping compare")
-            warned += 1
             continue
         baseline = load(base_path)
         if baseline is None:
-            warned += 1
             continue
         print(f"== {path.name} vs {base_path}")
-        if current.get("bench") == "routing_ablation":
-            warned += compare_routing_ablation(current, baseline,
-                                               args.threshold)
-        elif current.get("bench") == "propagation":
-            warned += compare_propagation(current, baseline, args.threshold)
-        elif current.get("bench") == "coverage_index":
-            warned += compare_coverage_index(current, baseline,
-                                             args.threshold)
-        elif current.get("bench") == "flow_sim":
-            warned += compare_flow_sim(current, baseline, args.threshold)
-        elif current.get("bench") == "temporal_delta":
-            warned += compare_temporal_delta(current, baseline,
-                                             args.threshold)
-        elif current.get("bench") == "handover":
-            warned += compare_handover(current, baseline, args.threshold)
-        elif current.get("bench") == "session":
-            warned += compare_session(current, baseline, args.threshold)
-        elif current.get("bench") == "scale":
-            warned += compare_scale(current, baseline, args.threshold)
-        elif current.get("bench") == "fig2c_coverage":
-            warned += compare_fig2c_coverage(current, baseline,
-                                             args.threshold)
+        if "benchmarks" in current:
+            compare_google_benchmark(current, baseline, args.threshold)
         else:
-            warned += compare_google_benchmark(current, baseline,
-                                               args.threshold)
+            compare_record(current, baseline, args.threshold)
 
-    print(f"bench_compare: {warned} warning(s) (informational only), "
+    print(f"bench_compare: {len(warnings)} warning(s) (informational only), "
           f"{len(failures)} hard failure(s)")
-    # Wall-time comparisons stay warn-only (CI hardware is too noisy to
-    # gate on); only the machine-independent count floors fail the run.
     return 1 if failures else 0
 
 
